@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline check experiments quick-experiments examples clean
+.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline graftperf-smoke check experiments quick-experiments examples clean
 
 all: build test
 
@@ -27,9 +27,9 @@ race:
 	$(GO) test -race ./...
 
 # Concurrency stress suite under the race detector: pooled instances
-# hammered from many goroutines, the sharded pager, and the concurrent
-# conformance pass. A subset of `race`, kept separate so CI reports
-# data races in the multicore layer as their own failure.
+# hammered from many goroutines, lifecycle swaps under load, and the
+# concurrent conformance pass. A subset of `race`, kept separate so CI
+# reports data races in the multicore layer as their own failure.
 stress:
 	$(GO) test -race -count=1 -run 'Stress|Concurrent' ./...
 
@@ -93,6 +93,16 @@ bench-report:
 # commit the result deliberately.
 bench-baseline:
 	$(GO) run ./cmd/graftbench -quick -experiment table5,pktfilter-batch,swap-under-load -json-out BENCH_baseline.json
+
+# Build, vet and test the graftperf benchmark module (its own go.mod, so
+# `go build ./...` at the root never compiles it), then run a short traced
+# pass of each workload. run.sh exits non-zero on any output mismatch, so
+# an internal/ API change that breaks the benchmark fails here.
+graftperf-smoke:
+	cd graftperf && $(GO) vet ./... && $(GO) test ./...
+	for w in evict-tpcb ld-write pf-live; do \
+		bash graftperf/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 || exit 1; \
+	done
 
 # Regenerate the paper's evaluation (Tables 1-6, Figure 1, ablations,
 # packet filter). Minutes at paper scale; use quick-experiments for CI.

@@ -11,6 +11,7 @@ import (
 	"graftlab/internal/tech"
 	"graftlab/internal/telemetry"
 	"graftlab/internal/upcall"
+	"graftlab/internal/vclock"
 	"graftlab/internal/workload"
 )
 
@@ -64,13 +65,23 @@ func TestMD5ProfileLineAttribution(t *testing.T) {
 	}
 }
 
-// TestNestedSpansAcrossStack drives the full Table-2-plus-pool stack —
-// ShardedPager faults consulting a PooledEvictionPolicy whose pooled
-// engines live behind upcall domains — with span tracing on, and
-// asserts one eviction exports as the nested causal chain
+// TestNestedSpansAcrossStack drives the full Table-2 stack — Pager
+// faults consulting a GraftEvictionPolicy whose instrumented engine
+// lives behind an upcall domain — with span tracing on, and asserts one
+// eviction exports as the nested causal chain
 // kernel -> policy -> engine -> upcall, all on one track, and that the
 // export is loadable Chrome trace-event JSON.
 func TestNestedSpansAcrossStack(t *testing.T) {
+	// Load the bare engine before metrics are on, so the only engine
+	// span is the one from the explicit wrapper outside the domain.
+	m := mem.New(PEMemSize)
+	raw, err := tech.Load(tech.NativeSafe, PageEvict, m, tech.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := upcall.NewDomain(raw, 10*time.Microsecond)
+	t.Cleanup(dom.Close)
+
 	telemetry.SetEnabled(true)
 	st := telemetry.EnableSpans(1 << 10)
 	if err := telemetry.SetSpanSampleEvery(1); err != nil {
@@ -83,27 +94,18 @@ func TestNestedSpansAcrossStack(t *testing.T) {
 		telemetry.ResetMetrics()
 	})
 
-	pool, err := tech.NewPool(tech.NativeSafe, PageEvict, tech.Options{}, tech.PoolConfig{
-		MemSize: PEMemSize,
-		Setup:   SetupHotList([]kernel.PageID{10, 11}),
-		Wrap:    upcall.PoolWrapper(10 * time.Microsecond),
-	})
+	p, err := kernel.NewPager(kernel.PagerConfig{Frames: 3, Mem: m, NodeBase: PELRUNodeBase}, &vclock.Clock{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(pool.Close)
-
-	sp, err := kernel.NewShardedPager(kernel.ShardedPagerConfig{Shards: 1, Frames: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp.SetPolicy(NewPooledEvictionPolicy(pool))
-	for _, p := range []kernel.PageID{10, 11, 12, 13} {
-		if _, err := sp.Access(p); err != nil {
+	NewHotList(m).Set([]kernel.PageID{10, 11})
+	p.SetPolicy(NewGraftEvictionPolicy(tech.Instrument(dom, PageEvict.Name, tech.NativeSafe)))
+	for _, pg := range []kernel.PageID{10, 11, 12, 13} {
+		if _, err := p.Access(pg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sp.Resident(12) {
+	if p.Resident(12) {
 		t.Fatal("graft did not steer the eviction to 12")
 	}
 

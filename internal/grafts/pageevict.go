@@ -185,49 +185,43 @@ func (hl *HotList) rewrite() {
 }
 
 // GraftEvictionPolicy adapts a loaded pageevict graft to the Pager's
-// Prioritization hook.
+// Prioritization hook. "evict" is resolved once, and the unsampled path
+// calls it through a reused one-slot argument array, so a policy call
+// allocates nothing of its own.
 type GraftEvictionPolicy struct {
-	g tech.Graft
+	g    tech.Graft
+	call func(args []uint32) (uint32, error)
+	args [1]uint32
 }
 
 // NewGraftEvictionPolicy wraps g (which must export "evict").
 func NewGraftEvictionPolicy(g tech.Graft) *GraftEvictionPolicy {
-	return &GraftEvictionPolicy{g: g}
+	return &GraftEvictionPolicy{g: g, call: tech.ResolveDirect(g, "evict")}
 }
 
 // ChooseVictim implements kernel.EvictionPolicy: hand the graft the LRU
-// head address and let it propose a victim.
-func (p *GraftEvictionPolicy) ChooseVictim(pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
-	head := pg.HeadAddr()
-	if head == 0 {
-		return kernel.InvalidPage, nil
-	}
-	v, err := p.g.Invoke("evict", head)
-	if err != nil {
-		return kernel.InvalidPage, err
-	}
-	return kernel.PageID(v), nil
-}
-
-// ChooseVictimSpan implements kernel.SpanEvictionPolicy: the policy
-// step is recorded as a child of the kernel eviction span, and the
+// head address and let it propose a victim. When the kernel's eviction
+// span is sampled, the policy step is recorded as its child and the
 // context is forwarded into the engine so the trace nests
 // kernel->policy->engine(->upcall).
-func (p *GraftEvictionPolicy) ChooseVictimSpan(ctx telemetry.SpanCtx, pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
+func (p *GraftEvictionPolicy) ChooseVictim(ctx telemetry.SpanCtx, pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
 	head := pg.HeadAddr()
 	if head == 0 {
 		return kernel.InvalidPage, nil
 	}
-	sp := telemetry.ChildSpan(ctx, "policy:evict", "policy")
-	if !sp.Active() {
-		return p.ChooseVictim(pg, candidate)
+	var v uint32
+	var err error
+	if sp := telemetry.ChildSpan(ctx, "policy:evict", "policy"); sp.Active() {
+		v, err = tech.InvokeSpan(p.g, sp.Ctx(), "evict", head)
+		var errBit uint64
+		if err != nil {
+			errBit = 1
+		}
+		sp.End(uint64(candidate), errBit)
+	} else {
+		p.args[0] = head
+		v, err = p.call(p.args[:])
 	}
-	v, err := tech.InvokeSpan(p.g, sp.Ctx(), "evict", head)
-	var errBit uint64
-	if err != nil {
-		errBit = 1
-	}
-	sp.End(uint64(candidate), errBit)
 	if err != nil {
 		return kernel.InvalidPage, err
 	}
@@ -242,7 +236,7 @@ type NativeEvictPolicy struct {
 }
 
 // ChooseVictim implements kernel.EvictionPolicy.
-func (p *NativeEvictPolicy) ChooseVictim(pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
+func (p *NativeEvictPolicy) ChooseVictim(_ telemetry.SpanCtx, pg *kernel.Pager, candidate kernel.PageID) (kernel.PageID, error) {
 	for _, page := range pg.LRUPages() {
 		if !p.Hot.Contains(page) {
 			return page, nil

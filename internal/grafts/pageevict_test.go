@@ -7,6 +7,7 @@ import (
 	"graftlab/internal/kernel"
 	"graftlab/internal/mem"
 	"graftlab/internal/tech"
+	"graftlab/internal/telemetry"
 	"graftlab/internal/vclock"
 	"graftlab/internal/workload"
 )
@@ -233,8 +234,8 @@ func TestEvictGraftRandomizedAgainstOracle(t *testing.T) {
 		if p.ResidentCount() == 16 {
 			lru := p.LRUPages()
 			cand := lru[0]
-			gv, gerr := graftPol.ChooseVictim(p, cand)
-			nv, nerr := oracle.ChooseVictim(p, cand)
+			gv, gerr := graftPol.ChooseVictim(telemetry.SpanCtx{}, p, cand)
+			nv, nerr := oracle.ChooseVictim(telemetry.SpanCtx{}, p, cand)
 			if gerr != nil || nerr != nil {
 				t.Fatalf("iter %d: errors %v %v", i, gerr, nerr)
 			}
@@ -242,5 +243,35 @@ func TestEvictGraftRandomizedAgainstOracle(t *testing.T) {
 				t.Fatalf("iter %d: graft=%d oracle=%d lru=%v", i, gv, nv, lru)
 			}
 		}
+	}
+}
+
+// TestEvictGraftFaultAllocFree pins the policy's resolve-once call path:
+// a faulting Access that consults the graft allocates nothing under the
+// classes whose engines are allocation-free themselves.
+func TestEvictGraftFaultAllocFree(t *testing.T) {
+	for _, id := range []tech.ID{tech.CompiledUnsafe, tech.AOT} {
+		t.Run(string(id), func(t *testing.T) {
+			p, hot, _ := buildPagerWithGraft(t, id, 16)
+			next := kernel.PageID(0)
+			fault := func() {
+				if hit, err := p.Access(next); hit || err != nil {
+					t.Fatalf("access %d: hit=%v err=%v", next, hit, err)
+				}
+				next++
+			}
+			for i := 0; i < 16; i++ {
+				fault()
+			}
+			// The two oldest pages stay hot, so every eviction walks past them.
+			hot.Set([]kernel.PageID{0, 1})
+			fault()
+			if allocs := testing.AllocsPerRun(200, fault); allocs != 0 {
+				t.Errorf("faulting Access allocates %.2f times per call, want 0", allocs)
+			}
+			if st := p.Stats(); st.PolicyCalls < 200 || st.PolicyOverrides != st.PolicyCalls {
+				t.Errorf("stats = %+v, want every fault overridden by the graft", st)
+			}
+		})
 	}
 }

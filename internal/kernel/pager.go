@@ -29,26 +29,20 @@ const LRUNodeSize = 8
 
 // EvictionPolicy is the Prioritization hook: given the pager (whose LRU
 // chain the policy may walk), return the page to evict instead of the
-// kernel's candidate, or InvalidPage to accept the candidate.
+// kernel's candidate, or InvalidPage to accept the candidate. ctx is the
+// kernel eviction span's context when causal tracing sampled this
+// eviction (inactive otherwise); a policy records its own work as child
+// spans of it and forwards it into the engine below.
 type EvictionPolicy interface {
-	ChooseVictim(p *Pager, candidate PageID) (PageID, error)
+	ChooseVictim(ctx telemetry.SpanCtx, p *Pager, candidate PageID) (PageID, error)
 }
 
 // EvictionPolicyFunc adapts a function to EvictionPolicy.
-type EvictionPolicyFunc func(p *Pager, candidate PageID) (PageID, error)
+type EvictionPolicyFunc func(ctx telemetry.SpanCtx, p *Pager, candidate PageID) (PageID, error)
 
 // ChooseVictim calls f.
-func (f EvictionPolicyFunc) ChooseVictim(p *Pager, candidate PageID) (PageID, error) {
-	return f(p, candidate)
-}
-
-// SpanEvictionPolicy is the optional span-aware variant of
-// EvictionPolicy: when causal tracing has sampled the current eviction,
-// the kernel hands the policy its span context so the policy (and the
-// engine below it) can record nested child spans. Policies that don't
-// implement it are called through ChooseVictim as usual.
-type SpanEvictionPolicy interface {
-	ChooseVictimSpan(ctx telemetry.SpanCtx, p *Pager, candidate PageID) (PageID, error)
+func (f EvictionPolicyFunc) ChooseVictim(ctx telemetry.SpanCtx, p *Pager, candidate PageID) (PageID, error) {
+	return f(ctx, p, candidate)
 }
 
 // PagerStats counts pager activity.
@@ -318,90 +312,22 @@ func (p *Pager) chooseVictim() (PageID, error) {
 
 // policyVictim consults the Prioritization hook, opening a
 // "kernel:evict" root span around the call when causal tracing samples
-// this eviction and handing the context down through span-aware
-// policies so one trace shows kernel->policy->engine->upcall nested.
+// this eviction and handing its context to the policy so one trace
+// shows kernel->policy->engine->upcall nested. An unsampled eviction
+// passes the inactive context and ends the inactive span as a no-op.
 func (p *Pager) policyVictim(candidate PageID) (PageID, error) {
 	sp := telemetry.RootSpan("kernel:evict", "kernel")
-	if sp.Active() {
-		if sep, ok := p.policy.(SpanEvictionPolicy); ok {
-			proposal, err := sep.ChooseVictimSpan(sp.Ctx(), p, candidate)
-			sp.End(uint64(candidate), uint64(proposal))
-			return proposal, err
-		}
-		proposal, err := p.policy.ChooseVictim(p, candidate)
-		sp.End(uint64(candidate), uint64(proposal))
-		return proposal, err
-	}
-	return p.policy.ChooseVictim(p, candidate)
+	proposal, err := p.policy.ChooseVictim(sp.Ctx(), p, candidate)
+	sp.End(uint64(candidate), uint64(proposal))
+	return proposal, err
 }
 
 // LRUPages returns the resident pages in eviction order (head first);
 // primarily for tests and native-Go policies.
 func (p *Pager) LRUPages() []PageID {
-	return p.AppendLRU(nil)
-}
-
-// AppendLRU appends the resident pages in eviction order (head first)
-// to dst and returns it; the allocation-free form of LRUPages for
-// callers that snapshot the chain repeatedly (the sharded pager does it
-// once per eviction, before dropping the shard lock).
-func (p *Pager) AppendLRU(dst []PageID) []PageID {
+	var pages []PageID
 	for f := p.head; f >= 0; f = p.next[f] {
-		dst = append(dst, p.pageOf[f])
+		pages = append(pages, p.pageOf[f])
 	}
-	return dst
-}
-
-// The three primitives below expose the pager's frame machinery so a
-// layer above can drive the fault path itself — the sharded pager needs
-// to release its shard lock between picking an eviction candidate and
-// committing the eviction (the Prioritization hook runs outside the
-// lock), which means the grab-a-frame/choose/evict/install sequence
-// cannot stay fused inside Access. They preserve every invariant
-// (LRU chain, graft-memory mirror, read-ahead bookkeeping) and do no
-// counting: policy accounting belongs to whoever drives them.
-
-// TakeFreeFrame pops a free frame if one exists. The caller must follow
-// up with InstallPage (there is no way to return a frame).
-func (p *Pager) TakeFreeFrame() (int, bool) {
-	if n := len(p.freeList); n > 0 {
-		f := p.freeList[n-1]
-		p.freeList = p.freeList[:n-1]
-		return f, true
-	}
-	return 0, false
-}
-
-// Candidate reports the kernel's default eviction choice: the LRU head.
-func (p *Pager) Candidate() (PageID, bool) {
-	if p.head < 0 {
-		return InvalidPage, false
-	}
-	return p.pageOf[p.head], true
-}
-
-// EvictResident removes page from residency and returns its now-free
-// frame for reuse. It reports false (touching nothing) if page is not
-// resident — the revalidation a caller needs after choosing a victim
-// with the lock dropped.
-func (p *Pager) EvictResident(page PageID) (int, bool) {
-	f, ok := p.frameOf[page]
-	if !ok {
-		return 0, false
-	}
-	if p.touched[f] == 0 {
-		p.raStats.Wasted++
-	}
-	delete(p.frameOf, page)
-	p.lruRemove(f)
-	return f, true
-}
-
-// InstallPage makes page resident in frame f (obtained from
-// TakeFreeFrame or EvictResident) as the most recently used page.
-func (p *Pager) InstallPage(f int, page PageID) {
-	p.pageOf[f] = page
-	p.frameOf[page] = f
-	p.touched[f] = -1 // demand page
-	p.lruPushTail(f)
+	return pages
 }

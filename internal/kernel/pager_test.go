@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"graftlab/internal/mem"
+	"graftlab/internal/telemetry"
 	"graftlab/internal/vclock"
 	"graftlab/internal/workload"
 )
@@ -158,7 +159,7 @@ func TestPolicyValidation(t *testing.T) {
 	p.Access(2)
 
 	// Policy proposing a non-resident page is rejected; LRU prevails.
-	p.SetPolicy(EvictionPolicyFunc(func(pg *Pager, cand PageID) (PageID, error) {
+	p.SetPolicy(EvictionPolicyFunc(func(_ telemetry.SpanCtx, pg *Pager, cand PageID) (PageID, error) {
 		return PageID(777), nil
 	}))
 	p.Access(3)
@@ -170,7 +171,7 @@ func TestPolicyValidation(t *testing.T) {
 	}
 
 	// Policy error falls back to LRU.
-	p.SetPolicy(EvictionPolicyFunc(func(pg *Pager, cand PageID) (PageID, error) {
+	p.SetPolicy(EvictionPolicyFunc(func(_ telemetry.SpanCtx, pg *Pager, cand PageID) (PageID, error) {
 		return InvalidPage, errors.New("graft trapped")
 	}))
 	p.Access(4)
@@ -179,7 +180,7 @@ func TestPolicyValidation(t *testing.T) {
 	}
 
 	// Declining policy accepts the candidate.
-	p.SetPolicy(EvictionPolicyFunc(func(pg *Pager, cand PageID) (PageID, error) {
+	p.SetPolicy(EvictionPolicyFunc(func(_ telemetry.SpanCtx, pg *Pager, cand PageID) (PageID, error) {
 		return InvalidPage, nil
 	}))
 	p.Access(5)
@@ -194,7 +195,7 @@ func TestPolicyOverride(t *testing.T) {
 	p.Access(2)
 	p.Access(3)
 	// Always evict the MRU page instead of the candidate.
-	p.SetPolicy(EvictionPolicyFunc(func(pg *Pager, cand PageID) (PageID, error) {
+	p.SetPolicy(EvictionPolicyFunc(func(_ telemetry.SpanCtx, pg *Pager, cand PageID) (PageID, error) {
 		lru := pg.LRUPages()
 		return lru[len(lru)-1], nil
 	}))

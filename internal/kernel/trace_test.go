@@ -59,10 +59,10 @@ func TestEvictDecisionOutcomeCodes(t *testing.T) {
 		policy EvictionPolicyFunc
 		want   uint64
 	}{
-		{func(p *Pager, c PageID) (PageID, error) { return InvalidPage, nil }, telemetry.EvictAccepted},
-		{func(p *Pager, c PageID) (PageID, error) { return PageID(9999), nil }, telemetry.EvictRejected},
-		{func(p *Pager, c PageID) (PageID, error) { return 0, fmt.Errorf("trap") }, telemetry.EvictErrored},
-		{func(p *Pager, c PageID) (PageID, error) {
+		{func(_ telemetry.SpanCtx, p *Pager, c PageID) (PageID, error) { return InvalidPage, nil }, telemetry.EvictAccepted},
+		{func(_ telemetry.SpanCtx, p *Pager, c PageID) (PageID, error) { return PageID(9999), nil }, telemetry.EvictRejected},
+		{func(_ telemetry.SpanCtx, p *Pager, c PageID) (PageID, error) { return 0, fmt.Errorf("trap") }, telemetry.EvictErrored},
+		{func(_ telemetry.SpanCtx, p *Pager, c PageID) (PageID, error) {
 			for _, r := range p.LRUPages() {
 				if r != c {
 					return r, nil
