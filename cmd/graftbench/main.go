@@ -7,10 +7,9 @@
 //	graftbench [-quick] [-experiment all|table1..table6|figure1|ablation|pktfilter|pktfilter-batch|scale]
 //	           [-warmup N] [-seed N] [-report-dir dir]
 //	           [-figure1-csv out.csv] [-vm opt|baseline] [-json] [-json-out out.json]
-//	           [-telemetry] [-trace-out trace.jsonl]
+//	           [-telemetry] [-trace-out trace.jsonl] [-spans-out spans.json] [-span-sample N]
 //	           [-metrics-addr :9090] [-metrics-hold 30s]
 //	           [-profile-out p.folded] [-profile-interval N]
-//	           [-spans-out spans.json] [-span-sample N]
 //	           [-check-against baseline.json] [-check-tolerance 0.30] [-check-effect 0.80]
 //
 // -experiment also accepts a comma-separated list (e.g.
@@ -26,18 +25,20 @@
 //
 // -telemetry enables per-graft invocation metrics (counters, traps, fuel,
 // sampled latency histograms; see docs/observability.md); the snapshots
-// are printed after the run and attached to the JSON report. -trace-out
-// additionally records kernel events (page faults, eviction decisions,
-// stream-filter passes, upcalls, LD segment flushes) into a bounded ring
-// and dumps them as JSONL to the given path (last line is an accounting
-// footer with emitted/retained/dropped counts).
+// are printed after the run and attached to the JSON report.
+//
+// -trace-out and -spans-out both turn on the one bounded trace store,
+// which records every kernel event (page faults, eviction decisions,
+// stream-filter passes, upcalls, LD segment flushes, scheduler picks)
+// and the causal spans of one root in -span-sample. -trace-out dumps
+// the store as JSONL (last line is an accounting footer with
+// emitted/retained/dropped counts); -spans-out dumps the same store as
+// Chrome trace-event JSON loadable at ui.perfetto.dev.
 //
 // -profile-out enables the fuel-attributed sampling profiler and writes
 // a folded-stack (flamegraph-ready) profile; -profile-interval sets the
-// fuel units between samples. -spans-out enables causal span tracing and
-// writes Chrome trace-event JSON loadable at ui.perfetto.dev;
-// -span-sample records one root span in N. All of these imply
-// -telemetry; see docs/observability.md for the workflow.
+// fuel units between samples. All of these imply -telemetry; see
+// docs/observability.md for the workflow.
 //
 // Every matrix cell runs -warmup discarded warmup runs (default 3 at
 // paper scale, 1 with -quick) before its measured runs, and workload
@@ -66,6 +67,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,7 +99,7 @@ func main() {
 		jsonP  = flag.String("json-out", "", "write machine-readable results to this path (implies -json)")
 		vmMode = flag.String("vm", "", `bytecode engine: "opt" (default) or "baseline"`)
 		telem  = flag.Bool("telemetry", false, "record per-graft invocation metrics and print/export them")
-		trace  = flag.String("trace-out", "", "record kernel events and dump them as JSONL to this path (implies -telemetry)")
+		trace  = flag.String("trace-out", "", "record kernel events and causal spans in the trace store and dump it as JSONL to this path (implies -telemetry)")
 		checkP = flag.String("check-against", "", "compare results against this baseline BENCH_*.json; exit non-zero on regression")
 		tolF   = flag.Float64("check-tolerance", 0.30, "relative tolerance for -check-against (0.30 = 30%)")
 		effF   = flag.Float64("check-effect", stats.EffectLarge, "Cohen's d threshold for -check-against: smaller effects read as noise, not regression")
@@ -108,8 +110,8 @@ func main() {
 
 		profOut      = flag.String("profile-out", "", "sample graft fuel and write a folded-stack (flamegraph) profile to this path (implies -telemetry)")
 		profInterval = flag.Int64("profile-interval", telemetry.DefaultProfileInterval, "fuel units between profiler samples")
-		spansOut     = flag.String("spans-out", "", "record causal spans and write Chrome trace-event JSON (Perfetto-loadable) to this path (implies -telemetry)")
-		spanSample   = flag.Int("span-sample", 64, "sample every Nth root span for -spans-out")
+		spansOut     = flag.String("spans-out", "", "record kernel events and causal spans in the trace store and dump it as Chrome trace-event JSON (Perfetto-loadable) to this path (implies -telemetry)")
+		spanSample   = flag.Int("span-sample", 64, "record every Nth root span in the trace store (-trace-out, -spans-out); events are never sampled")
 
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live /metrics (Prometheus text), /debug/telemetry.json, and SSE /stream on this address during the run (implies -telemetry)")
@@ -143,10 +145,6 @@ func main() {
 	if jsonPath == "" && *jsonB {
 		jsonPath = defaultJSONPath(exp)
 	}
-	if *trace != "" {
-		*telem = true
-		telemetry.EnableTrace(traceRingCapacity)
-	}
 	if *profOut != "" {
 		*telem = true
 		if _, err := telemetry.EnableProfiler(*profInterval); err != nil {
@@ -154,13 +152,13 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *spansOut != "" {
+	if *trace != "" || *spansOut != "" {
 		*telem = true
 		if err := telemetry.SetSpanSampleEvery(*spanSample); err != nil {
 			fmt.Fprintf(os.Stderr, "graftbench: %v\n", err)
 			os.Exit(2)
 		}
-		telemetry.EnableSpans(spanRingCapacity)
+		telemetry.EnableSpans(traceRingCapacity)
 	}
 	if *metricsAddr != "" {
 		*telem = true
@@ -213,7 +211,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *trace != "" {
-		if err := dumpTrace(*trace); err != nil {
+		if err := dumpTrace(*trace, "JSONL", (*telemetry.SpanTrace).WriteJSONL); err != nil {
 			fmt.Fprintf(os.Stderr, "graftbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -225,20 +223,19 @@ func main() {
 		}
 	}
 	if *spansOut != "" {
-		if err := dumpSpans(*spansOut); err != nil {
+		if err := dumpTrace(*spansOut, "Chrome trace JSON", (*telemetry.SpanTrace).WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "graftbench: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// traceRingCapacity bounds the kernel event ring; at ~48 bytes per event
-// this is a few MB, plenty for a full paper-scale run's kernel activity.
-const traceRingCapacity = 1 << 16
-
-// spanRingCapacity bounds the causal span ring. Spans are sampled (one
-// root in -span-sample), so this holds minutes of paper-scale activity.
-const spanRingCapacity = 1 << 15
+// traceRingCapacity bounds the trace store. Events are unsampled and
+// dominate it: a full -quick run records 65k-95k events (the upcall
+// loops are time-bound) and a few dozen sampled spans, so this retains
+// all of one (~15 MB at 112 bytes a record); paper-scale runs keep the
+// most recent records.
+const traceRingCapacity = 1 << 17
 
 // dumpProfile writes the folded-stack fuel profile and prints the
 // per-line attribution table.
@@ -263,29 +260,6 @@ func dumpProfile(path string) error {
 	if table := p.LineTable(); table != "" {
 		fmt.Print(table)
 	}
-	return nil
-}
-
-// dumpSpans writes the recorded causal spans as Chrome trace-event JSON
-// loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func dumpSpans(path string) error {
-	st := telemetry.CurrentSpans()
-	if st == nil {
-		return fmt.Errorf("no spans recorded")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := st.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("causal span trace written to %s (%d spans retained, %d dropped)\n",
-		path, st.Len(), st.Dropped())
 	return nil
 }
 
@@ -357,25 +331,27 @@ func writeReportArtifacts(dir string, report *bench.Report, cmp *bench.Compariso
 	return nil
 }
 
-// dumpTrace writes the retained kernel events as JSONL.
-func dumpTrace(path string) error {
-	tr := telemetry.CurrentTrace()
-	if tr == nil {
+// dumpTrace writes the trace store to path with write: WriteJSONL for
+// -trace-out, or WriteChromeTrace for -spans-out (Chrome trace-event
+// JSON loadable in Perfetto at ui.perfetto.dev or chrome://tracing).
+func dumpTrace(path, format string, write func(*telemetry.SpanTrace, io.Writer) error) error {
+	st := telemetry.CurrentSpans()
+	if st == nil {
 		return fmt.Errorf("no trace recorded")
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteJSONL(f); err != nil {
+	if err := write(st, f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("kernel event trace written to %s (%d events retained, %d overwritten)\n",
-		path, tr.Len(), tr.Overwritten())
+	fmt.Printf("trace store written to %s as %s (%d records retained, %d dropped)\n",
+		path, format, st.Len(), st.Dropped())
 	return nil
 }
 

@@ -226,17 +226,18 @@ func TestVMBaselineSelectable(t *testing.T) {
 // TestObservabilityExportFlags drives the full -profile-out / -spans-out /
 // -trace-out pipeline at micro scale: enable every collector the CLI
 // flags would enable, run one direct-dispatch experiment (profiler
-// samples) and one kernel-mediated experiment (span roots), and require
-// each dump to be well-formed — folded stacks with integer weights,
-// Chrome trace JSON with complete duration events, and a JSONL trace
-// whose last line is the accounting footer.
+// samples), one kernel-mediated experiment (span roots) and the
+// ablation (which must not clobber the collectors), and require each
+// dump to be well-formed — folded stacks with integer weights, Chrome
+// trace JSON with complete duration events, and a JSONL trace whose
+// last line is the accounting footer — with both trace dumps holding
+// kernel events and causal spans from the one store.
 func TestObservabilityExportFlags(t *testing.T) {
 	dir := t.TempDir()
-	telemetry.EnableTrace(1 << 12)
 	if _, err := telemetry.EnableProfiler(256); err != nil {
 		t.Fatal(err)
 	}
-	telemetry.EnableSpans(1 << 12)
+	telemetry.EnableSpans(1 << 14)
 	if err := telemetry.SetSpanSampleEvery(8); err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,6 @@ func TestObservabilityExportFlags(t *testing.T) {
 		telemetry.SetEnabled(false)
 		telemetry.DisableSpans()
 		telemetry.DisableProfiler()
-		telemetry.DisableTrace()
 		_ = telemetry.SetSpanSampleEvery(64)
 		telemetry.ResetMetrics()
 	})
@@ -253,8 +253,9 @@ func TestObservabilityExportFlags(t *testing.T) {
 	cfg := microConfig()
 	cfg.Telemetry = true
 	// table2 exercises the metered engines (profiler hits); table6
-	// routes writes through the Logical Disk (span roots).
-	for _, exp := range []string{"table2", "table6"} {
+	// routes writes through the Logical Disk (span roots); the ablation
+	// installs collectors of its own unless the caller's are on.
+	for _, exp := range []string{"table2", "table6", "ablation"} {
 		if _, err := run(cfg, exp, "", "", true); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
@@ -283,7 +284,7 @@ func TestObservabilityExportFlags(t *testing.T) {
 	}
 
 	spansPath := filepath.Join(dir, "spans.json")
-	if err := dumpSpans(spansPath); err != nil {
+	if err := dumpTrace(spansPath, "Chrome trace JSON", (*telemetry.SpanTrace).WriteChromeTrace); err != nil {
 		t.Fatal(err)
 	}
 	sdata, err := os.ReadFile(spansPath)
@@ -293,6 +294,7 @@ func TestObservabilityExportFlags(t *testing.T) {
 	var chrome struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
 			Ph   string  `json:"ph"`
 			Ts   float64 `json:"ts"`
 		} `json:"traceEvents"`
@@ -304,14 +306,19 @@ func TestObservabilityExportFlags(t *testing.T) {
 	if len(chrome.TraceEvents) == 0 {
 		t.Fatal("span export recorded no events from the LD run")
 	}
+	chromeCats := map[bool]int{}
 	for _, e := range chrome.TraceEvents {
 		if e.Ph != "X" || e.Name == "" {
 			t.Fatalf("malformed trace event %+v", e)
 		}
+		chromeCats[e.Cat == telemetry.EventCat]++
+	}
+	if chromeCats[true] == 0 || chromeCats[false] == 0 {
+		t.Errorf("-spans-out holds %d events and %d spans, want both", chromeCats[true], chromeCats[false])
 	}
 
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	if err := dumpTrace(tracePath); err != nil {
+	if err := dumpTrace(tracePath, "JSONL", (*telemetry.SpanTrace).WriteJSONL); err != nil {
 		t.Fatal(err)
 	}
 	tdata, err := os.ReadFile(tracePath)
@@ -328,5 +335,18 @@ func TestObservabilityExportFlags(t *testing.T) {
 	}
 	if footer.Emitted == 0 {
 		t.Error("trace footer reports zero emitted events after a traced run")
+	}
+	jsonlCats := map[bool]int{}
+	for _, l := range tlines[:len(tlines)-1] {
+		var rec struct {
+			Cat string `json:"cat"`
+		}
+		if err := json.Unmarshal([]byte(l), &rec); err != nil {
+			t.Fatalf("trace JSONL line %q: %v", l, err)
+		}
+		jsonlCats[rec.Cat == telemetry.EventCat]++
+	}
+	if jsonlCats[true] == 0 || jsonlCats[false] == 0 {
+		t.Errorf("-trace-out holds %d events and %d spans, want both", jsonlCats[true], jsonlCats[false])
 	}
 }

@@ -9,11 +9,11 @@
 //	          [-telemetry] [-metrics-addr :9090]
 //
 // -telemetry turns on the observability layer for the run: per-graft
-// invocation counters (printed as a table afterwards) and the kernel
-// event trace (summarized by event kind). -metrics-addr additionally
-// serves the live export surface (/metrics, /debug/telemetry.json, SSE
-// /stream) for the duration of the run, so graftmon or a Prometheus
-// scraper can watch the scenarios execute. See docs/observability.md.
+// invocation counters (printed as a table afterwards) and the trace
+// store, whose kernel events are summarized by kind. -metrics-addr
+// additionally serves the live export surface (/metrics,
+// /debug/telemetry.json, SSE /stream) for the duration of the run, so
+// graftmon or a Prometheus scraper can watch the scenarios execute. See docs/observability.md.
 //
 // The interesting regime is a working set slightly larger than memory,
 // rescanned: pure LRU then evicts exactly the pages about to be needed
@@ -46,7 +46,7 @@ func main() {
 		scenario = flag.String("scenario", "pageevict",
 			"which hook point to drive: pageevict, sched, cache, readahead, swap, canary, watchdog, all")
 		telem = flag.Bool("telemetry", false,
-			"record per-graft counters and kernel events; print them after the run")
+			"record per-graft counters and the kernel event/span trace; print them after the run")
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve live /metrics (Prometheus text), /debug/telemetry.json, and SSE /stream on this address during the run (implies -telemetry)")
 	)
@@ -56,7 +56,7 @@ func main() {
 	}
 	if *telem {
 		telemetry.SetEnabled(true)
-		telemetry.EnableTrace(1 << 14)
+		telemetry.EnableSpans(1 << 14)
 	}
 	if *metricsAddr != "" {
 		srv, err := telemetry.ServeMetrics(*metricsAddr)
@@ -131,8 +131,8 @@ func printTelemetry() {
 			stats.FormatDuration(s.LatencyMax))
 	}
 	fmt.Println(t)
-	if tr := telemetry.CurrentTrace(); tr != nil {
-		fmt.Printf("kernel events (%d retained, %d dropped by ring overwrite):\n", tr.Len(), tr.Overwritten())
+	if tr := telemetry.CurrentSpans(); tr != nil {
+		fmt.Printf("kernel events (trace store: %d records retained, %d dropped by ring overwrite):\n", tr.Len(), tr.Dropped())
 		counts := tr.CountByKind()
 		kinds := make([]string, 0, len(counts))
 		for kind := range counts {

@@ -406,35 +406,40 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 	// A7: full observability stack vs metrics alone, interleaved like
 	// A6. The profiler is a load-time attachment (tech.Load hands the
 	// engine its scope while a profile is installed), so the full-stack
-	// harness is loaded with a profiler installed; span recording is
-	// enabled for the whole timed window. The compiled eviction path has
+	// harness and the profiled MD5 graft load under a profile and the
+	// plain MD5 graft has its scope detached after load; the trace store
+	// records for the whole timed window. The compiled eviction path has
 	// no sampling hook and no span emit point, so the pair demonstrates
 	// the stack stays off that hot path; the baseline side shares the
-	// window safely for the same reason.
+	// window safely for the same reason. A profile or trace store the
+	// caller already has on is reused, not replaced, and only what this
+	// ablation installed is removed afterwards.
 	telemetry.SetEnabled(true)
-	if _, err := telemetry.EnableProfiler(telemetry.DefaultProfileInterval); err != nil {
-		return nil, err
+	if !telemetry.ProfilerEnabled() {
+		if _, err := telemetry.EnableProfiler(telemetry.DefaultProfileInterval); err != nil {
+			return nil, err
+		}
+		defer telemetry.DisableProfiler()
 	}
 	hFull, err := newEvictHarness(cfg, tech.CompiledUnsafe, false, 0)
 	if err != nil {
-		telemetry.DisableProfiler()
 		return nil, err
 	}
 	defer hFull.closer()
 	gVMProf, err := tech.Load(tech.Bytecode, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
 	if err != nil {
-		telemetry.DisableProfiler()
 		return nil, err
 	}
 	mdVMProf, err := grafts.NewMD5Graft(gVMProf)
 	if err != nil {
-		telemetry.DisableProfiler()
 		return nil, err
 	}
-	telemetry.DisableProfiler()
 	gVMPlain, err := tech.Load(tech.Bytecode, grafts.MD5, mem.New(grafts.MDMemSize), tech.Options{VM: cfg.VM})
 	if err != nil {
 		return nil, err
+	}
+	if ps, ok := gVMPlain.(tech.ProfileSetter); ok {
+		ps.SetProfile(nil, 0)
 	}
 	mdVMPlain, err := grafts.NewMD5Graft(gVMPlain)
 	if err != nil {
@@ -442,14 +447,10 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 	}
 	telemetry.SetEnabled(wasOn)
 
-	if _, err := telemetry.EnableProfiler(telemetry.DefaultProfileInterval); err != nil {
-		return nil, err
+	if !telemetry.SpansEnabled() {
+		telemetry.EnableSpans(1 << 12)
+		defer telemetry.DisableSpans()
 	}
-	telemetry.EnableSpans(1 << 12)
-	defer func() {
-		telemetry.DisableSpans()
-		telemetry.DisableProfiler()
-	}()
 	for _, h := range []*evictHarness{hOn, hFull} {
 		for i := 0; i < 16; i++ {
 			if err := h.invoke(); err != nil {

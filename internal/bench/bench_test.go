@@ -250,11 +250,42 @@ func TestRunAblation(t *testing.T) {
 	if telemetry.Enabled() {
 		t.Error("ablation left telemetry enabled")
 	}
+	if telemetry.ProfilerEnabled() || telemetry.SpansEnabled() {
+		t.Error("ablation left its own profiler or trace store on")
+	}
 	if !strings.Contains(ab.Table().String(), "NIL") {
 		t.Error("ablation table missing")
 	}
 	if !strings.Contains(ab.Table().String(), "telemetry") {
 		t.Error("ablation table missing telemetry rows")
+	}
+}
+
+// TestAblationKeepsCallerCollectors: the ablation's observability rows
+// must reuse a profile and trace store the caller already installed
+// (graftbench -profile-out / -spans-out) rather than replacing them,
+// and must leave both installed and on.
+func TestAblationKeepsCallerCollectors(t *testing.T) {
+	prof, err := telemetry.EnableProfiler(telemetry.DefaultProfileInterval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := telemetry.EnableSpans(1 << 10)
+	t.Cleanup(func() {
+		telemetry.DisableSpans()
+		telemetry.DisableProfiler()
+	})
+	if _, err := RunAblation(tiny()); err != nil {
+		t.Fatal(err)
+	}
+	if telemetry.CurrentProfile() != prof || !telemetry.ProfilerEnabled() {
+		t.Error("ablation replaced or disabled the caller's profile")
+	}
+	if telemetry.CurrentSpans() != st || !telemetry.SpansEnabled() {
+		t.Error("ablation replaced or disabled the caller's trace store")
+	}
+	if len(prof.Samples()) == 0 {
+		t.Error("caller's profile recorded nothing from the profiled MD5 graft")
 	}
 }
 

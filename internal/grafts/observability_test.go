@@ -111,7 +111,10 @@ func TestNestedSpansAcrossStack(t *testing.T) {
 
 	byID := map[telemetry.SpanID]telemetry.SpanRecord{}
 	byCat := map[string][]telemetry.SpanRecord{}
-	for _, s := range st.Spans() {
+	for _, s := range st.Records() {
+		if s.Cat == telemetry.EventCat {
+			continue
+		}
 		byID[s.ID] = s
 		byCat[s.Cat] = append(byCat[s.Cat], s)
 	}

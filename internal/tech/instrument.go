@@ -149,6 +149,15 @@ func (ig *instrumented) Invoke(entry string, args ...uint32) (uint32, error) {
 	return v, err
 }
 
+// SetProfile implements ProfileSetter by forwarding to the wrapped
+// engine, so a loaded graft's profiler scope can be attached or
+// detached through the metrics wrapper.
+func (ig *instrumented) SetProfile(s *telemetry.ProfScope, every int64) {
+	if ps, ok := ig.inner.(ProfileSetter); ok {
+		ps.SetProfile(s, every)
+	}
+}
+
 // Memory implements Graft.
 func (ig *instrumented) Memory() *mem.Memory { return ig.inner.Memory() }
 

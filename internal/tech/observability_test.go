@@ -45,14 +45,14 @@ func TestInstrumentedInvokeSpan(t *testing.T) {
 	root.End(0, 0)
 
 	var engine *telemetry.SpanRecord
-	for _, s := range st.Spans() {
+	for _, s := range st.Records() {
 		if s.Cat == "engine" {
 			s := s
 			engine = &s
 		}
 	}
 	if engine == nil {
-		t.Fatalf("no engine span recorded: %+v", st.Spans())
+		t.Fatalf("no engine span recorded: %+v", st.Records())
 	}
 	if engine.Parent != root.ID() {
 		t.Errorf("engine span parent = %d, want root %d", engine.Parent, root.ID())
@@ -78,7 +78,7 @@ func TestInvokeSpanInactiveContext(t *testing.T) {
 	if _, err := InvokeSpan(g, telemetry.SpanCtx{}, "main", 10); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range st.Spans() {
+	for _, s := range st.Records() {
 		if s.Cat == "engine" {
 			t.Fatalf("engine span recorded under inactive context: %+v", s)
 		}

@@ -105,9 +105,6 @@ func NewPool(id ID, src Source, opts Options, cfg PoolConfig) (*Pool, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tech %s: %w", id, err)
 		}
-		if opts.Optimize {
-			gel.Fold(prog)
-		}
 		p.prog = prog
 		if id == Bytecode || id == AOT {
 			mod, err := compile.Compile(prog)

@@ -238,10 +238,6 @@ type Options struct {
 	// VM, loop iterations and calls for native code, commands for the
 	// script interpreter). 0 disables metering.
 	Fuel int64
-	// Optimize runs constant folding on GEL sources before code
-	// generation. Behaviour is unchanged (the fold keeps runtime traps);
-	// only speed differs.
-	Optimize bool
 	// VM selects the bytecode engine ("" = VMOpt). Behaviour is
 	// equivalent (differentially tested); only speed differs.
 	VM VMMode
@@ -333,9 +329,6 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tech %s: %w", id, err)
 		}
-		if opts.Optimize {
-			gel.Fold(prog)
-		}
 		np, err := nativeCompile(prog, m, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("tech %s: %w", id, err)
@@ -347,9 +340,6 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tech %s: %w", id, err)
 		}
-		if opts.Optimize {
-			gel.Fold(prog)
-		}
 		mod, err := compile.Compile(prog)
 		if err != nil {
 			return nil, fmt.Errorf("tech %s: %w", id, err)
@@ -359,9 +349,6 @@ func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 		prog, err := gel.ParseAndCheck(src.GEL)
 		if err != nil {
 			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		if opts.Optimize {
-			gel.Fold(prog)
 		}
 		mod, err := compile.Compile(prog)
 		if err != nil {

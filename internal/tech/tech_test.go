@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"graftlab/internal/compile"
+	"graftlab/internal/gel"
 	"graftlab/internal/mem"
 )
 
@@ -372,7 +374,7 @@ func TestFoldedProgramsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := Load(id, src, mem.New(memSize), Options{Optimize: true})
+			opt, err := loadFolded(id, src)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -384,6 +386,32 @@ func TestFoldedProgramsAgree(t *testing.T) {
 			}
 		}
 	}
+}
+
+// loadFolded parses and constant-folds src, then compiles the folded
+// program directly for id, the way graftc -O does.
+func loadFolded(id ID, src Source) (Graft, error) {
+	prog, err := gel.ParseAndCheck(src.GEL)
+	if err != nil {
+		return nil, err
+	}
+	gel.Fold(prog)
+	cfg, err := Config(id)
+	if err != nil {
+		return nil, err
+	}
+	if id == Bytecode {
+		mod, err := compile.Compile(prog)
+		if err != nil {
+			return nil, err
+		}
+		return newVMEngine(mod, mem.New(memSize), cfg, Options{})
+	}
+	np, err := nativeCompile(prog, mem.New(memSize), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return np, nil
 }
 
 func TestTrapsAreRecoverable(t *testing.T) {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,12 @@ import (
 	"time"
 )
 
+// The trace store. One bounded ring (SpanTrace) holds two kinds of
+// record: kernel events from Emit, which are never sampled, and causal
+// spans, which are sampled at the root. Both share one clock, one
+// switch (EnableSpans/DisableSpans) and one pair of exporters (JSONL
+// and Chrome trace-event JSON).
+//
 // Causal span tracing. A root span opens at a kernel emit point (pager
 // eviction, stream pass, LD segment flush, pool worker checkout) and
 // its context — parent span ID plus a track for rendering — is threaded
@@ -45,7 +52,7 @@ type Span struct {
 	track  uint64
 	name   string
 	cat    string
-	start  int64 // ns since process start of recording
+	start  int64 // ns on the store clock
 }
 
 // Active reports whether this span will record on End.
@@ -62,65 +69,68 @@ func (s Span) Ctx() SpanCtx {
 	return SpanCtx{Parent: s.id, Track: s.track}
 }
 
-// SpanRecord is one completed span as stored in the ring.
+// SpanRecord is one record in the trace store: a completed span, or a
+// kernel event (Cat EventCat, Kind set, zero duration, no span IDs).
 type SpanRecord struct {
-	ID     SpanID
-	Parent SpanID
-	Name   string
-	Cat    string
-	Track  uint64
-	Start  int64 // ns, monotonic within the trace
-	Dur    int64 // ns
-	A, B   uint64
+	Seq     uint64 // global record index; gaps mean ring overwrite
+	ID      SpanID
+	Parent  SpanID
+	Kind    EventKind // event kind; 0 for spans
+	Name    string
+	Cat     string
+	Track   uint64
+	Start   int64 // ns on the store clock, shared by spans and events
+	Dur     int64 // ns; 0 for events
+	A, B, C uint64
 }
 
-// SpanTrace is the bounded ring completed spans land in; like the
-// kernel event trace it overwrites the oldest record when full and
-// reports how many were dropped.
+// SpanTrace is the one bounded trace store: sampled causal spans and
+// unsampled kernel events share a ring that overwrites the oldest
+// record when full, like a kernel trace buffer, and reports how many
+// records were dropped.
 type SpanTrace struct {
-	mu  sync.Mutex
-	buf []SpanRecord
-	seq uint64 // total records ever written
-}
-
-// NewSpanTrace builds a ring holding up to capacity completed spans.
-func NewSpanTrace(capacity int) *SpanTrace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanTrace{buf: make([]SpanRecord, 0, capacity)}
+	mu     sync.Mutex
+	buf    []SpanRecord
+	seq    uint64      // total records ever written
+	byKind [256]uint64 // cumulative per-event-kind counts (survive overwrite)
 }
 
 func (st *SpanTrace) record(r SpanRecord) {
 	st.mu.Lock()
+	r.Seq = st.seq
 	if len(st.buf) < cap(st.buf) {
 		st.buf = append(st.buf, r)
 	} else {
 		st.buf[st.seq%uint64(cap(st.buf))] = r
 	}
 	st.seq++
+	st.byKind[r.Kind]++
 	st.mu.Unlock()
 }
 
-// Len reports how many spans the ring currently holds.
+// Len reports how many records the ring currently holds.
 func (st *SpanTrace) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.buf)
 }
 
-// Dropped reports how many spans were overwritten by ring wrap.
+// Dropped reports how many records were overwritten by ring wrap.
 func (st *SpanTrace) Dropped() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.seq <= uint64(cap(st.buf)) {
-		return 0
-	}
-	return st.seq - uint64(cap(st.buf))
+	return st.seq - uint64(len(st.buf))
 }
 
-// Spans returns the retained spans, oldest first.
-func (st *SpanTrace) Spans() []SpanRecord {
+// Records returns the retained records, oldest first.
+func (st *SpanTrace) Records() []SpanRecord {
+	recs, _ := st.snapshot()
+	return recs
+}
+
+// snapshot returns the retained records, oldest first, and the number
+// ever written, read under one lock so export accounting is consistent.
+func (st *SpanTrace) snapshot() ([]SpanRecord, uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	out := make([]SpanRecord, 0, len(st.buf))
@@ -131,7 +141,56 @@ func (st *SpanTrace) Spans() []SpanRecord {
 	} else {
 		out = append(out, st.buf...)
 	}
+	return out, st.seq
+}
+
+// CountByKind returns cumulative per-kind event counts, including
+// events the ring has since overwritten.
+func (st *SpanTrace) CountByKind() map[string]uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	out := make(map[string]uint64)
+	for k, n := range st.byKind[1:] {
+		if n > 0 {
+			out[EventKind(k+1).String()] = n
+		}
+	}
 	return out
+}
+
+// WriteJSONL writes every retained record as one JSON object per line:
+//
+//	{"seq":12,"t":48211093,"kind":"page_fault","cat":"event","a":204,"b":17,"c":0,"dur":0}
+//
+// seq is the global record index (gaps mean ring overwrite), t and dur
+// are ns on the store clock, kind is the event kind or span name, cat
+// is "event" for kernel events and the span category otherwise, and
+// a/b/c are the kind-specific operands (span End args in a/b).
+//
+// The final line is a footer making ring truncation visible instead of
+// silent; its counts cover events and spans together:
+//
+//	{"footer":true,"emitted":70000,"retained":65536,"dropped":4464}
+//
+// Consumers that only want records can skip any line carrying "footer".
+func (st *SpanTrace) WriteJSONL(w io.Writer) error {
+	recs, emitted := st.snapshot()
+	bw := bufio.NewWriter(w)
+	for _, r := range recs {
+		// Hand-rolled: the schema is flat and fixed, and this keeps the
+		// dump allocation-light for big rings.
+		if _, err := fmt.Fprintf(bw,
+			`{"seq":%d,"t":%d,"kind":%q,"cat":%q,"a":%d,"b":%d,"c":%d,"dur":%d}`+"\n",
+			r.Seq, r.Start, r.Name, r.Cat, r.A, r.B, r.C, r.Dur); err != nil {
+			return err
+		}
+	}
+	if _, err := fmt.Fprintf(bw,
+		`{"footer":true,"emitted":%d,"retained":%d,"dropped":%d}`+"\n",
+		emitted, len(recs), emitted-uint64(len(recs))); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // chromeEvent is one Chrome trace-event object ("X" complete events);
@@ -152,6 +211,7 @@ type chromeEventArgs struct {
 	Parent uint64 `json:"parent"`
 	A      uint64 `json:"a"`
 	B      uint64 `json:"b"`
+	C      uint64 `json:"c"`
 }
 
 // chromeTrace is the JSON object format Perfetto and chrome://tracing
@@ -159,31 +219,32 @@ type chromeEventArgs struct {
 type chromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	Dropped         uint64        `json:"droppedSpans,omitempty"`
+	Dropped         uint64        `json:"droppedSpans,omitempty"` // events and spans overwritten
 }
 
-// WriteChromeTrace exports the retained spans as Chrome trace-event
+// WriteChromeTrace exports the retained records as Chrome trace-event
 // JSON (the "JSON object format": a traceEvents array of ph:"X"
 // complete events). Each span's causal links ride in args.span /
 // args.parent; nesting in the viewer comes from time containment on
-// the span's track.
+// the span's track. Kernel events are zero-duration records on track 0
+// with args.span 0.
 func (st *SpanTrace) WriteChromeTrace(w io.Writer) error {
-	spans := st.Spans()
+	recs, emitted := st.snapshot()
 	ct := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(spans)),
+		TraceEvents:     make([]chromeEvent, 0, len(recs)),
 		DisplayTimeUnit: "ns",
-		Dropped:         st.Dropped(),
+		Dropped:         emitted - uint64(len(recs)),
 	}
-	for _, s := range spans {
+	for _, r := range recs {
 		ct.TraceEvents = append(ct.TraceEvents, chromeEvent{
-			Name: s.Name,
-			Cat:  s.Cat,
+			Name: r.Name,
+			Cat:  r.Cat,
 			Ph:   "X",
-			TS:   float64(s.Start) / 1e3,
-			Dur:  float64(s.Dur) / 1e3,
+			TS:   float64(r.Start) / 1e3,
+			Dur:  float64(r.Dur) / 1e3,
 			PID:  1,
-			TID:  s.Track,
-			Args: chromeEventArgs{Span: uint64(s.ID), Parent: uint64(s.Parent), A: s.A, B: s.B},
+			TID:  r.Track,
+			Args: chromeEventArgs{Span: uint64(r.ID), Parent: uint64(r.Parent), A: r.A, B: r.B, C: r.C},
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -197,44 +258,45 @@ var (
 	spanRoots atomic.Uint64 // root-site counter for sampling
 	spanEvery atomic.Uint64 // record every N-th root
 
-	// spanEpoch anchors span timestamps so a trace starts near 0 —
-	// time.Now() deltas against one base keep the math monotonic-clock
-	// backed and the exported microseconds small.
-	spanEpoch     time.Time
-	spanEpochOnce sync.Once
+	// spanEpoch anchors the store clock: time.Now() deltas against one
+	// base keep the math monotonic-clock backed and the exported
+	// microseconds small.
+	spanEpoch = time.Now()
 )
 
 const defaultSpanSampleEvery = 64
 
 func init() { spanEvery.Store(defaultSpanSampleEvery) }
 
-func spanNow() int64 {
-	spanEpochOnce.Do(func() { spanEpoch = time.Now() })
-	return int64(time.Since(spanEpoch))
-}
+func spanNow() int64 { return int64(time.Since(spanEpoch)) }
 
-// EnableSpans installs a fresh ring of the given capacity and turns
-// root-span sampling on.
+// EnableSpans installs a fresh trace store of the given capacity and
+// turns recording on: kernel events from Emit, and every
+// SpanSampleEvery-th root span with its children. It is the only switch
+// for the trace.
 func EnableSpans(capacity int) *SpanTrace {
-	st := NewSpanTrace(capacity)
+	st := &SpanTrace{buf: make([]SpanRecord, 0, max(capacity, 1))}
 	spanTrace.Store(st)
 	spansOn.Store(true)
 	return st
 }
 
-// DisableSpans turns span recording off; the current ring stays
-// readable via CurrentSpans.
+// DisableSpans turns event and span recording off; the current store
+// stays readable via CurrentSpans.
 func DisableSpans() { spansOn.Store(false) }
 
-// SpansEnabled reports whether root spans are being opened.
+// SpansEnabled reports whether the trace store is recording; hook
+// points that must do extra work to build an event (e.g. timing an
+// upcall) check it first. It is a single atomic load.
 func SpansEnabled() bool { return spansOn.Load() }
 
-// CurrentSpans returns the installed ring, or nil.
+// CurrentSpans returns the installed trace store, or nil.
 func CurrentSpans() *SpanTrace { return spanTrace.Load() }
 
 // SetSpanSampleEvery records every n-th root span (1 = all). Sampling
 // happens at the root: children of an unsampled root cost nothing, so n
 // is the single knob trading trace completeness for hot-path overhead.
+// Kernel events are never sampled.
 func SetSpanSampleEvery(n int) error {
 	if n < 1 {
 		return fmt.Errorf("telemetry: span sample rate must be >= 1, got %d", n)
@@ -277,7 +339,7 @@ func ChildSpan(ctx SpanCtx, name, cat string) Span {
 
 // End closes the span, attaching two free-form args (candidate page and
 // outcome for evictions, byte counts for streams, …), and records it in
-// the current ring.
+// the current store.
 func (s Span) End(a, b uint64) {
 	if s.id == 0 {
 		return

@@ -62,7 +62,7 @@ func TestSpanNesting(t *testing.T) {
 	child.End(0, 0)
 	root.End(100, 105)
 
-	spans := st.Spans()
+	spans := st.Records()
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
@@ -124,7 +124,7 @@ func TestSpanRingWrap(t *testing.T) {
 	if st.Dropped() != 6 {
 		t.Errorf("dropped = %d, want 6", st.Dropped())
 	}
-	spans := st.Spans()
+	spans := st.Records()
 	if spans[len(spans)-1].ID != last {
 		t.Errorf("newest span not last: %d vs %d", spans[len(spans)-1].ID, last)
 	}

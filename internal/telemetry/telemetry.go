@@ -1,18 +1,20 @@
 // Package telemetry is the observability layer threaded through the
 // technology classes and kernel hook points: per-graft invocation
-// counters, log-bucketed latency histograms, and a bounded kernel event
-// trace. It is the repo's equivalent of what production extension
-// runtimes treat as a first-class subsystem — eBPF exposes per-program
-// run counts and cumulative runtime via `bpftool prog`, and Rex keeps
-// per-extension resource accounting — scaled to this simulation.
+// counters, log-bucketed latency histograms, and one bounded trace
+// store for kernel events and causal spans. It is the repo's equivalent
+// of what production extension runtimes treat as a first-class
+// subsystem — eBPF exposes per-program run counts and cumulative
+// runtime via `bpftool prog`, and Rex keeps per-extension resource
+// accounting — scaled to this simulation.
 //
 // The design constraint is that telemetry stays enabled during
 // paper-scale measurement runs, so every hot-path operation is either a
 // single uncontended atomic add or nothing at all:
 //
-//   - The whole subsystem sits behind one flag. When Disabled() reports
-//     true (the default), tech.Load returns raw grafts and the kernel
-//     hook points skip their Emit calls after one atomic load.
+//   - Metrics sit behind one flag: when Disabled() reports true (the
+//     default), tech.Load returns raw grafts. The trace store has its
+//     own switch (EnableSpans); while it is off the kernel hook points
+//     skip their Emit calls after one atomic load.
 //   - Per-invocation latency is sampled (every SampleInterval-th
 //     invocation is timed), so the two clock reads amortize to well
 //     under a nanosecond per call.

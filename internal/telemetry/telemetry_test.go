@@ -149,50 +149,66 @@ func TestHistogramConstantSamples(t *testing.T) {
 }
 
 func TestTraceRing(t *testing.T) {
-	tr := NewTrace(4)
+	resetSpans(t)
+	st := EnableSpans(4)
 	for i := 0; i < 6; i++ {
-		tr.Emit(EvPageFault, uint64(i), 0, 0)
+		Emit(EvPageFault, uint64(i), 0, 0)
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
+	if st.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", st.Len())
 	}
-	if tr.Overwritten() != 2 {
-		t.Fatalf("Overwritten = %d, want 2", tr.Overwritten())
+	if st.Dropped() != 2 {
+		t.Fatalf("Dropped = %d, want 2", st.Dropped())
 	}
-	evs := tr.Events()
+	evs := st.Records()
 	if len(evs) != 4 || evs[0].A != 2 || evs[3].A != 5 {
-		t.Fatalf("Events = %+v", evs)
+		t.Fatalf("Records = %+v", evs)
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Errorf("seq not monotonic: %d then %d", evs[i-1].Seq, evs[i].Seq)
+	for i, e := range evs {
+		if e.Kind != EvPageFault || e.Name != "page_fault" || e.Cat != EventCat || e.Dur != 0 || e.ID != 0 {
+			t.Errorf("event record %+v, want a zero-duration page_fault event", e)
+		}
+		if i > 0 && e.Seq != evs[i-1].Seq+1 {
+			t.Errorf("seq not monotonic: %d then %d", evs[i-1].Seq, e.Seq)
 		}
 	}
-	if n := tr.CountByKind()["page_fault"]; n != 6 {
+	if n := st.CountByKind()["page_fault"]; n != 6 {
 		t.Errorf("CountByKind[page_fault] = %d, want 6 (cumulative)", n)
 	}
 }
 
+type jsonlLine struct {
+	Seq  uint64 `json:"seq"`
+	T    int64  `json:"t"`
+	Kind string `json:"kind"`
+	Cat  string `json:"cat"`
+	A    uint64 `json:"a"`
+	B    uint64 `json:"b"`
+	C    uint64 `json:"c"`
+	Dur  *int64 `json:"dur"`
+}
+
+type jsonlFooter struct {
+	Footer   bool   `json:"footer"`
+	Emitted  uint64 `json:"emitted"`
+	Retained int    `json:"retained"`
+	Dropped  uint64 `json:"dropped"`
+}
+
 func TestTraceJSONL(t *testing.T) {
-	tr := NewTrace(16)
-	tr.Emit(EvEvictDecision, 100, 105, EvictOverride)
-	tr.Emit(EvLDSegment, 7, 112, 16)
+	resetSpans(t)
+	st := EnableSpans(16)
+	Emit(EvEvictDecision, 100, 105, EvictOverride)
+	Emit(EvLDSegment, 7, 112, 16)
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := st.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
 	if len(lines) != 3 {
 		t.Fatalf("got %d lines, want 2 events + footer", len(lines))
 	}
-	var ev struct {
-		Seq  uint64 `json:"seq"`
-		T    int64  `json:"t"`
-		Kind string `json:"kind"`
-		A    uint64 `json:"a"`
-		B    uint64 `json:"b"`
-		C    uint64 `json:"c"`
-	}
+	var ev jsonlLine
 	if err := json.Unmarshal(lines[0], &ev); err != nil {
 		t.Fatalf("line 0 is not valid JSON: %v", err)
 	}
@@ -202,15 +218,13 @@ func TestTraceJSONL(t *testing.T) {
 	if ev.T == 0 {
 		t.Error("event timestamp missing")
 	}
+	if ev.Cat != EventCat || ev.Dur == nil || *ev.Dur != 0 {
+		t.Errorf("event line cat/dur = %q/%v, want event/0", ev.Cat, ev.Dur)
+	}
 	if err := json.Unmarshal(lines[1], &ev); err != nil || ev.Kind != "ld_segment" {
 		t.Errorf("line 1: %v, kind %q", err, ev.Kind)
 	}
-	var foot struct {
-		Footer   bool   `json:"footer"`
-		Emitted  uint64 `json:"emitted"`
-		Retained int    `json:"retained"`
-		Dropped  uint64 `json:"dropped"`
-	}
+	var foot jsonlFooter
 	if err := json.Unmarshal(lines[2], &foot); err != nil {
 		t.Fatalf("footer is not valid JSON: %v", err)
 	}
@@ -219,56 +233,82 @@ func TestTraceJSONL(t *testing.T) {
 	}
 }
 
+// TestTraceJSONLFooterDropped: the footer accounts for events and spans
+// sharing the ring, and the retained span lines carry their duration.
 func TestTraceJSONLFooterDropped(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Emit(EvPageFault, uint64(i), 0, 0)
+	resetSpans(t)
+	st := EnableSpans(4)
+	if err := SetSpanSampleEvery(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		Emit(EvPageFault, uint64(i), 0, 0)
+		sp := RootSpan("kernel:evict", "kernel")
+		time.Sleep(time.Microsecond)
+		sp.End(uint64(i), 0)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := st.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	var foot struct {
-		Footer   bool   `json:"footer"`
-		Emitted  uint64 `json:"emitted"`
-		Retained int    `json:"retained"`
-		Dropped  uint64 `json:"dropped"`
-	}
+	var foot jsonlFooter
 	if err := json.Unmarshal(lines[len(lines)-1], &foot); err != nil {
 		t.Fatalf("footer: %v", err)
 	}
 	if !foot.Footer || foot.Emitted != 10 || foot.Retained != 4 || foot.Dropped != 6 {
 		t.Errorf("footer = %+v, want emitted:10 retained:4 dropped:6", foot)
 	}
+	// Per-kind counts survive the wrap and do not count spans.
+	if got := st.CountByKind(); len(got) != 1 || got["page_fault"] != 5 {
+		t.Errorf("CountByKind = %v, want page_fault:5 only", got)
+	}
+	var spans, events int
+	for _, l := range lines[:len(lines)-1] {
+		var r jsonlLine
+		if err := json.Unmarshal(l, &r); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case r.Kind == "kernel:evict" && r.Cat == "kernel" && r.Dur != nil && *r.Dur > 0:
+			spans++
+		case r.Kind == "page_fault" && r.Cat == EventCat:
+			events++
+		default:
+			t.Errorf("unexpected line %s", l)
+		}
+	}
+	if spans != 2 || events != 2 {
+		t.Errorf("retained %d spans and %d events, want 2 and 2", spans, events)
+	}
 }
 
 func TestGlobalTraceToggle(t *testing.T) {
-	defer DisableTrace()
-	DisableTrace()
+	resetSpans(t)
+	DisableSpans()
 	Emit(EvSchedPick, 1, 0, 0) // must be a no-op, not a panic
-	EnableTrace(8)
-	if !TraceEnabled() {
-		t.Fatal("EnableTrace did not enable")
+	st := EnableSpans(8)
+	if !SpansEnabled() {
+		t.Fatal("EnableSpans did not enable")
 	}
 	Emit(EvSchedPick, 1, 0, 0)
-	if got := CurrentTrace().Len(); got != 1 {
-		t.Fatalf("global trace Len = %d, want 1", got)
+	if got := st.Len(); got != 1 {
+		t.Fatalf("trace store Len = %d, want 1", got)
 	}
-	DisableTrace()
+	DisableSpans()
 	Emit(EvSchedPick, 2, 0, 0)
-	if got := CurrentTrace().Len(); got != 1 {
-		t.Fatalf("disabled trace still recorded: Len = %d", got)
+	if got := CurrentSpans().Len(); got != 1 {
+		t.Fatalf("disabled store still recorded: Len = %d", got)
 	}
 }
 
 // TestConcurrentRecording is the race-detector gate for the atomic
-// counters: many goroutines hammer one accumulator and the global trace
+// counters: many goroutines hammer one accumulator and the trace store
 // while a reader snapshots concurrently.
 func TestConcurrentRecording(t *testing.T) {
 	defer ResetMetrics()
-	defer DisableTrace()
-	EnableTrace(128)
+	resetSpans(t)
+	EnableSpans(128)
 	m := Register("concurrent", "x")
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
@@ -294,7 +334,7 @@ func TestConcurrentRecording(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			_ = m.Snapshot()
-			_ = CurrentTrace().Events()
+			_ = CurrentSpans().Records()
 		}
 	}()
 	wg.Wait()
@@ -305,7 +345,7 @@ func TestConcurrentRecording(t *testing.T) {
 	if m.FuelConsumed() != workers*per {
 		t.Errorf("FuelConsumed = %d, want %d", m.FuelConsumed(), workers*per)
 	}
-	if got := CurrentTrace().CountByKind()["page_fault"]; got != workers*per {
+	if got := CurrentSpans().CountByKind()["page_fault"]; got != workers*per {
 		t.Errorf("trace count = %d, want %d", got, workers*per)
 	}
 }

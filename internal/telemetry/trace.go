@@ -1,13 +1,6 @@
 package telemetry
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "fmt"
 
 // EventKind names a kernel hook-point event. The three operand slots
 // A/B/C are kind-specific; the schema is documented per kind below and
@@ -34,7 +27,7 @@ const (
 	EvSchedPick
 )
 
-// Eviction-decision outcome codes (Event.C of EvEvictDecision).
+// Eviction-decision outcome codes (operand C of EvEvictDecision).
 const (
 	EvictDefault  = 0 // no policy installed; kernel LRU candidate used
 	EvictAccepted = 1 // policy declined or proposed the candidate
@@ -43,7 +36,10 @@ const (
 	EvictErrored  = 4 // policy trapped; candidate used
 )
 
-var eventNames = map[EventKind]string{
+// EventCat is the SpanRecord.Cat of every kernel event record.
+const EventCat = "event"
+
+var eventNames = [...]string{
 	EvPageFault:     "page_fault",
 	EvEvictDecision: "evict_decision",
 	EvStreamPass:    "stream_pass",
@@ -53,179 +49,24 @@ var eventNames = map[EventKind]string{
 }
 
 func (k EventKind) String() string {
-	if s, ok := eventNames[k]; ok {
-		return s
+	if int(k) < len(eventNames) && eventNames[k] != "" {
+		return eventNames[k]
 	}
 	return fmt.Sprintf("event(%d)", int(k))
 }
 
-// Event is one recorded kernel event. Time is wall-clock nanoseconds
-// (time.Time.UnixNano at emit).
-type Event struct {
-	Seq  uint64
-	Time int64
-	Kind EventKind
-	A    uint64
-	B    uint64
-	C    uint64
-}
-
-// Trace is a bounded ring buffer of kernel events: emitting never
-// allocates and never blocks beyond a short mutex hold; when the ring is
-// full the oldest events are overwritten, like a kernel trace buffer.
-type Trace struct {
-	mu     sync.Mutex
-	buf    []Event
-	seq    uint64      // events ever emitted
-	byKind [256]uint64 // cumulative per-kind counts (not evicted)
-}
-
-// NewTrace allocates a ring holding up to capacity events.
-func NewTrace(capacity int) *Trace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Trace{buf: make([]Event, capacity)}
-}
-
-// Emit appends one event, overwriting the oldest if the ring is full.
-func (t *Trace) Emit(kind EventKind, a, b, c uint64) {
-	now := time.Now().UnixNano()
-	t.mu.Lock()
-	t.buf[t.seq%uint64(len(t.buf))] = Event{
-		Seq: t.seq, Time: now, Kind: kind, A: a, B: b, C: c,
-	}
-	t.seq++
-	t.byKind[kind]++
-	t.mu.Unlock()
-}
-
-// Len reports how many events the ring currently holds.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.seq < uint64(len(t.buf)) {
-		return int(t.seq)
-	}
-	return len(t.buf)
-}
-
-// Overwritten reports how many events were lost to ring eviction.
-func (t *Trace) Overwritten() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.seq <= uint64(len(t.buf)) {
-		return 0
-	}
-	return t.seq - uint64(len(t.buf))
-}
-
-// Events returns the retained events, oldest first.
-func (t *Trace) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.seq
-	cap64 := uint64(len(t.buf))
-	out := make([]Event, 0, min64(n, cap64))
-	start := uint64(0)
-	if n > cap64 {
-		start = n - cap64
-	}
-	for s := start; s < n; s++ {
-		out = append(out, t.buf[s%cap64])
-	}
-	return out
-}
-
-// CountByKind returns cumulative per-kind event counts (including
-// overwritten events).
-func (t *Trace) CountByKind() map[string]uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]uint64)
-	for k, n := range t.byKind {
-		if n > 0 {
-			out[EventKind(k).String()] = n
-		}
-	}
-	return out
-}
-
-// WriteJSONL writes the retained events as one JSON object per line:
-//
-//	{"seq":12,"t":1722870000123456789,"kind":"page_fault","a":204,"b":17,"c":0}
-//
-// seq is the global emission index (gaps mean ring eviction), t is
-// wall-clock UnixNano, and a/b/c are the kind-specific operands.
-//
-// The final line is a footer making ring truncation visible instead of
-// silent:
-//
-//	{"footer":true,"emitted":70000,"retained":65536,"dropped":4464}
-//
-// dropped counts events lost to ring wrap; consumers that only want
-// events can skip any line carrying "footer".
-func (t *Trace) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range t.Events() {
-		// Hand-rolled: the schema is flat and fixed, and this keeps the
-		// dump allocation-light for big rings.
-		if _, err := fmt.Fprintf(bw,
-			`{"seq":%d,"t":%d,"kind":%q,"a":%d,"b":%d,"c":%d}`+"\n",
-			e.Seq, e.Time, e.Kind.String(), e.A, e.B, e.C); err != nil {
-			return err
-		}
-	}
-	dropped := t.Overwritten()
-	if _, err := fmt.Fprintf(bw,
-		`{"footer":true,"emitted":%d,"retained":%d,"dropped":%d}`+"\n",
-		uint64(t.Len())+dropped, t.Len(), dropped); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Global trace: kernel hook points emit through here so the hooks do not
-// need a handle threaded through every constructor. Off by default.
-var (
-	traceOn atomic.Bool
-	trace   atomic.Pointer[Trace]
-)
-
-// EnableTrace activates the global event trace with the given ring
-// capacity, replacing any previous trace.
-func EnableTrace(capacity int) {
-	trace.Store(NewTrace(capacity))
-	traceOn.Store(true)
-}
-
-// DisableTrace stops event collection; the accumulated trace remains
-// readable via CurrentTrace.
-func DisableTrace() { traceOn.Store(false) }
-
-// TraceEnabled reports whether Emit records anything; hook points that
-// must do extra work to build an event (e.g. timing an upcall) check it
-// first. It is a single atomic load.
-func TraceEnabled() bool { return traceOn.Load() }
-
-// CurrentTrace returns the global trace, or nil if EnableTrace was never
-// called.
-func CurrentTrace() *Trace { return trace.Load() }
-
-// Emit records one event in the global trace; a no-op (one atomic load)
-// while tracing is off.
+// Emit records one kernel event in the installed trace store as a
+// zero-duration record. Events are never sampled: while the store is on
+// every call lands (subject only to ring overwrite), and while it is off
+// Emit costs one atomic load.
 func Emit(kind EventKind, a, b, c uint64) {
-	if !traceOn.Load() {
+	if !spansOn.Load() {
 		return
 	}
-	if t := trace.Load(); t != nil {
-		t.Emit(kind, a, b, c)
+	if st := spanTrace.Load(); st != nil {
+		st.record(SpanRecord{
+			Kind: kind, Name: kind.String(), Cat: EventCat,
+			Start: spanNow(), A: a, B: b, C: c,
+		})
 	}
 }

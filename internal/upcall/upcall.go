@@ -97,7 +97,7 @@ func (d *Domain) serve() {
 // Invoke performs a synchronous upcall: marshal the request to the server
 // domain, wait for the reply, and pay the crossing latency.
 func (d *Domain) Invoke(entry string, args ...uint32) (uint32, error) {
-	traced := telemetry.TraceEnabled()
+	traced := telemetry.SpansEnabled()
 	var t0 time.Time
 	if traced {
 		t0 = time.Now()
