@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline graftperf-smoke check experiments quick-experiments examples clean
+.PHONY: all build test test-short race stress cover cover-check conformance-short fuzz-smoke bench bench-smoke bench-check bench-report bench-baseline graftperf-smoke loc check experiments quick-experiments examples clean
 
 all: build test
 
@@ -103,6 +103,14 @@ graftperf-smoke:
 	for w in evict-tpcb ld-write pf-live; do \
 		bash graftperf/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 || exit 1; \
 	done
+
+# Go line counts outside the graftperf benchmark module: non-test and
+# test files separately, the figures a change's line delta is read from.
+LOC_GO = find . \( -path ./graftperf -o -path './.*' \) -prune -o -name '*.go' -print
+
+loc:
+	@$(LOC_GO) | grep -v '_test\.go$$' | xargs cat | wc -l | awk '{print "non-test Go lines: " $$1}'
+	@$(LOC_GO) | grep '_test\.go$$' | xargs cat | wc -l | awk '{print "test Go lines:     " $$1}'
 
 # Regenerate the paper's evaluation (Tables 1-6, Figure 1, ablations,
 # packet filter). Minutes at paper scale; use quick-experiments for CI.

@@ -36,23 +36,24 @@ import (
 // result; traps propagate by panic and are recovered here.
 type CompiledGraft struct {
 	m       *mem.Memory
-	entries map[string]func(args []uint32) uint32
-	arity   map[string]int
+	entries map[string]compiledEntry
+}
+
+// compiledEntry is one registered entry point.
+type compiledEntry struct {
+	name  string
+	arity int
+	fn    func(args []uint32) uint32
 }
 
 // NewCompiledGraft builds an empty compiled graft over m.
 func NewCompiledGraft(m *mem.Memory) *CompiledGraft {
-	return &CompiledGraft{
-		m:       m,
-		entries: make(map[string]func([]uint32) uint32),
-		arity:   make(map[string]int),
-	}
+	return &CompiledGraft{m: m, entries: make(map[string]compiledEntry)}
 }
 
 // Register adds an entry point.
 func (c *CompiledGraft) Register(name string, arity int, fn func(args []uint32) uint32) {
-	c.entries[name] = fn
-	c.arity[name] = arity
+	c.entries[name] = compiledEntry{name: name, arity: arity, fn: fn}
 }
 
 // Memory implements tech.Graft.
@@ -61,36 +62,26 @@ func (c *CompiledGraft) Memory() *mem.Memory { return c.m }
 // Direct implements tech.DirectCaller: the resolved entry is called with
 // only trap recovery between the kernel and the compiled code.
 func (c *CompiledGraft) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
-	fn, ok := c.entries[entry]
+	e, ok := c.entries[entry]
 	if !ok {
 		return nil, false
 	}
-	arity := c.arity[entry]
-	return func(args []uint32) (result uint32, err error) {
-		if len(args) != arity {
-			return 0, fmt.Errorf("compiled: %q takes %d args, got %d", entry, arity, len(args))
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if t, ok := r.(*mem.Trap); ok {
-					err = t
-					return
-				}
-				panic(r)
-			}
-		}()
-		return fn(args), nil
-	}, true
+	return e.invoke, true
 }
 
 // Invoke implements tech.Graft.
-func (c *CompiledGraft) Invoke(entry string, args ...uint32) (result uint32, err error) {
-	fn, ok := c.entries[entry]
+func (c *CompiledGraft) Invoke(entry string, args ...uint32) (uint32, error) {
+	e, ok := c.entries[entry]
 	if !ok {
 		return 0, fmt.Errorf("compiled: no entry %q", entry)
 	}
-	if len(args) != c.arity[entry] {
-		return 0, fmt.Errorf("compiled: %q takes %d args, got %d", entry, c.arity[entry], len(args))
+	return e.invoke(args)
+}
+
+// invoke is the entry body Invoke and Direct share.
+func (e compiledEntry) invoke(args []uint32) (result uint32, err error) {
+	if len(args) != e.arity {
+		return 0, fmt.Errorf("compiled: %q takes %d args, got %d", e.name, e.arity, len(args))
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -101,7 +92,7 @@ func (c *CompiledGraft) Invoke(entry string, args ...uint32) (result uint32, err
 			panic(r)
 		}
 	}()
-	return fn(args), nil
+	return e.fn(args), nil
 }
 
 // ---- per-policy access primitives ----

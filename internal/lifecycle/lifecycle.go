@@ -82,7 +82,7 @@ func (c pooledCarrier) Acquire() (tech.Graft, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return it, func() { c.p.Put(it) }, nil
+	return it.Graft, func() { c.p.Put(it) }, nil
 }
 
 // Pooled wraps a tech.Pool as a Carrier: each Acquire checks out a
@@ -97,7 +97,7 @@ type LoadFunc func(a tech.Artifact) (Carrier, error)
 // bytes per version, loaded under technology id, wrapped in Single.
 func Loader(id tech.ID, memSize uint32, opts tech.Options) LoadFunc {
 	return func(a tech.Artifact) (Carrier, error) {
-		g, err := a.Load(id, mem.New(memSize), opts)
+		g, err := tech.Load(id, a.Source, mem.New(memSize), opts)
 		if err != nil {
 			return nil, err
 		}

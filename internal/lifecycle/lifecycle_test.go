@@ -372,6 +372,45 @@ func TestVersionedTelemetryRegistration(t *testing.T) {
 	t.Fatalf("no telemetry pair registered under %q", name)
 }
 
+// TestResultFuelSurvivesWrapping pins Result.Fuel across carriers: the
+// telemetry wrap and a pooled instance must report the engine's own
+// fuel, not hide it.
+func TestResultFuelSurvivesWrapping(t *testing.T) {
+	defer func() {
+		telemetry.SetEnabled(false)
+		telemetry.ResetMetrics()
+	}()
+	opts := tech.Options{Fuel: 1 << 20}
+	var want int64
+	for _, c := range []struct {
+		name      string
+		telemetry bool
+		load      lifecycle.LoadFunc
+	}{
+		{"Loader", false, lifecycle.Loader(tech.Bytecode, decideMemSize, opts)},
+		{"Loader+telemetry", true, lifecycle.Loader(tech.Bytecode, decideMemSize, opts)},
+		{"PoolLoader", false, lifecycle.PoolLoader(tech.Bytecode, opts, tech.PoolConfig{MemSize: decideMemSize})},
+		{"PoolLoader+telemetry", true, lifecycle.PoolLoader(tech.Bytecode, opts, tech.PoolConfig{MemSize: decideMemSize})},
+	} {
+		telemetry.ResetMetrics()
+		telemetry.SetEnabled(c.telemetry)
+		s := lifecycle.NewSlot("decide", tech.Bytecode, c.load)
+		if err := s.Activate(tech.NewArtifact(decideSrc(1), 1), nil); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Do("decide", nil, 3)
+		if err != nil || res.Value != decideValue(1, 3) {
+			t.Fatalf("%s: decide(3) = %d, %v", c.name, res.Value, err)
+		}
+		if want == 0 {
+			want = res.Fuel
+		}
+		if res.Fuel == 0 || res.Fuel != want {
+			t.Errorf("%s: Result.Fuel = %d, want %d (non-zero, as the bare engine reports)", c.name, res.Fuel, want)
+		}
+	}
+}
+
 func TestRegistrySlotsAndGet(t *testing.T) {
 	r := lifecycle.NewRegistry()
 	load := lifecycle.Loader(tech.Bytecode, decideMemSize, tech.Options{})

@@ -62,9 +62,11 @@ type Prog struct {
 	fuel  int64
 	depth int
 
-	// arena backs frame locals so calls do not allocate.
-	arena []uint32
-	sp    int
+	// arena backs frame locals and frames holds one frame per call
+	// depth, so calls do not allocate.
+	arena  []uint32
+	sp     int
+	frames [MaxCallDepth]frame
 }
 
 // MaxCallDepth bounds graft recursion.
@@ -111,14 +113,30 @@ func MustCompile(p *gel.Program, m *mem.Memory, cfg mem.Config) *Prog {
 func (p *Prog) Memory() *mem.Memory { return p.mem }
 
 // Invoke runs the named function. Traps surface as *mem.Trap errors.
-func (p *Prog) Invoke(entry string, args ...uint32) (result uint32, err error) {
+func (p *Prog) Invoke(entry string, args ...uint32) (uint32, error) {
 	idx, ok := p.byName[entry]
 	if !ok {
 		return 0, fmt.Errorf("native: no function %q", entry)
 	}
+	return p.invoke(idx, args)
+}
+
+// Direct returns a pre-resolved entry point (the tech.DirectCaller fast
+// path); hook points that invoke a graft in a hot loop use it to skip the
+// per-call name lookup.
+func (p *Prog) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
+	idx, ok := p.byName[entry]
+	if !ok {
+		return nil, false
+	}
+	return func(args []uint32) (uint32, error) { return p.invoke(idx, args) }, true
+}
+
+// invoke is the entry body Invoke and Direct share.
+func (p *Prog) invoke(idx int, args []uint32) (result uint32, err error) {
 	f := p.funcs[idx]
 	if len(args) != f.nargs {
-		return 0, fmt.Errorf("native: %q takes %d args, got %d", entry, f.nargs, len(args))
+		return 0, fmt.Errorf("native: %q takes %d args, got %d", f.name, f.nargs, len(args))
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -135,37 +153,6 @@ func (p *Prog) Invoke(entry string, args ...uint32) (result uint32, err error) {
 	p.depth = 0
 	p.sp = 0
 	return p.call(idx, args), nil
-}
-
-// Direct returns a pre-resolved entry point (the tech.DirectCaller fast
-// path); hook points that invoke a graft in a hot loop use it to skip the
-// per-call name lookup.
-func (p *Prog) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
-	idx, ok := p.byName[entry]
-	if !ok {
-		return nil, false
-	}
-	f := p.funcs[idx]
-	return func(args []uint32) (result uint32, err error) {
-		if len(args) != f.nargs {
-			return 0, fmt.Errorf("native: %q takes %d args, got %d", entry, f.nargs, len(args))
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if t, ok := r.(*mem.Trap); ok {
-					err = t
-					p.sp = 0
-					p.depth = 0
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.fuel = p.Fuel
-		p.depth = 0
-		p.sp = 0
-		return p.call(idx, args), nil
-	}, true
 }
 
 // FuelUsed reports the loop-iteration/call budget consumed by the most
@@ -204,8 +191,9 @@ func (p *Prog) call(idx int, args []uint32) uint32 {
 	copy(locals, args)
 	p.sp = base + f.nlocals
 
-	fr := frame{locals: locals}
-	f.body(&fr)
+	fr := &p.frames[p.depth-1]
+	fr.locals, fr.ret = locals, 0
+	f.body(fr)
 
 	p.sp = base
 	p.depth--

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-
-	"graftlab/internal/mem"
 )
 
 // Artifact is a versioned, content-addressed packaging of a Source —
@@ -71,10 +69,4 @@ func (a Artifact) Ref() string {
 		d = d[:12]
 	}
 	return fmt.Sprintf("%s@v%d (%s)", a.Source.Name, a.Version, d)
-}
-
-// Load loads this artifact's source under the named technology, bound
-// to memory m — the versioned form of the package-level Load.
-func (a Artifact) Load(id ID, m *mem.Memory, opts Options) (Graft, error) {
-	return Load(id, a.Source, m, opts)
 }

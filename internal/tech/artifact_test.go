@@ -73,7 +73,7 @@ func TestArtifactRefAndLoad(t *testing.T) {
 		t.Fatalf("Ref() = %q", ref)
 	}
 
-	g, err := a.Load(Bytecode, mem.New(1<<10), Options{})
+	g, err := Load(Bytecode, a.Source, mem.New(1<<10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,16 +101,3 @@ func TestResolveDirectFallback(t *testing.T) {
 		t.Fatal("missing entry succeeded")
 	}
 }
-
-func TestMustLoad(t *testing.T) {
-	g := MustLoad(NativeUnsafe, Source{Name: "m", GEL: "func main() { return 5; }"}, mem.New(1<<12), Options{})
-	if v, _ := g.Invoke("main"); v != 5 {
-		t.Fatalf("got %d", v)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustLoad did not panic on bad source")
-		}
-	}()
-	MustLoad(NativeUnsafe, Source{Name: "bad", GEL: "nope"}, mem.New(1<<12), Options{})
-}

@@ -10,8 +10,9 @@ import (
 
 // FuelReporter is the optional engine interface telemetry uses for
 // per-invocation fuel accounting: FuelUsed reports the fuel the most
-// recent invocation consumed. All four metered engines (both bytecode
-// VMs, the runtime codegen, the script interpreter) implement it.
+// recent invocation consumed. The metered engines (both bytecode VMs,
+// the runtime codegen, AOT, the script interpreter) implement it, and
+// the telemetry wrap forwards it.
 type FuelReporter interface {
 	FuelUsed() int64
 }
@@ -21,7 +22,9 @@ type FuelReporter interface {
 // classified by kind, and fuel consumption is accumulated for engines
 // loaded with a fuel budget. The wrapper preserves the DirectCaller fast
 // path — hook points that resolve an entry once get an instrumented
-// closure, so the hot loop and the slow path feed the same counters.
+// closure, so the hot loop and the slow path feed the same counters —
+// and forwards the engine's FuelUsed, so a wrapped engine reports the
+// same fuel as a bare one.
 //
 // Budget discipline (<=2%, measured in BenchmarkAblationTelemetry and
 // recorded in docs/observability.md): a locked atomic add per invocation
@@ -29,27 +32,34 @@ type FuelReporter interface {
 // invocation count and the fuel total are batched in plain local
 // counters and flushed to the shared atomics at each sampling point
 // (every 256th call by default) and on every error. Each wrapper (and
-// each Direct closure it hands out) has exactly one writer: a Graft is
-// single-goroutine by contract, and concurrent callers go through
-// tech.Pool, where every pooled instance gets its own wrapper flushing
-// into the shared per-(graft,technology) accumulator. Under contention
-// that leaves one uncontended-in-the-common-case atomic add per 256
-// calls — the reason instrumented multicore runs stay inside the same
-// <=2% envelope as single-threaded ones. Snapshot readers see counts
-// that lag each live call path by at most one sampling interval. The
-// unsampled, error-free invocation pays a register increment, a mask
+// each Direct closure it hands out) has its own batch with exactly one
+// writer: a Graft is single-goroutine by contract, and concurrent
+// callers go through tech.Pool, where every pooled instance gets its own
+// wrapper flushing into the shared per-(graft,technology) accumulator.
+// Under contention that leaves one uncontended-in-the-common-case atomic
+// add per 256 calls — the reason instrumented multicore runs stay inside
+// the same <=2% envelope as single-threaded ones. Snapshot readers see
+// counts that lag each live call path by at most one sampling interval.
+// The unsampled, error-free invocation pays a register increment, a mask
 // test, and (metered engines only) one fuel read.
 type instrumented struct {
 	inner    Graft
-	met      *telemetry.GraftMetrics
-	fuel     FuelReporter // nil unless the engine is metered
-	mask     uint64       // sampling mask, captured at wrap time
-	n        uint64       // batched invocation count for the Invoke path
-	fuelAcc  int64        // batched fuel for the Invoke path
+	fr       FuelReporter // the engine's fuel meter, nil if it has none
+	b        batch        // the Invoke/InvokeSpan path's batch
 	spanName string       // "engine:<technology>", precomputed at wrap time
-	span     telemetry.SpanCtx
-	denied   bool // cached quarantine verdict, refreshed at sampling points
-	quarErr  error
+}
+
+// batch is one call path's single-writer share of a (graft, technology)
+// pair's telemetry: the one metering state machine behind Invoke,
+// InvokeSpan and every resolved Direct closure.
+type batch struct {
+	met     *telemetry.GraftMetrics
+	fuel    FuelReporter // nil unless the engine is metered
+	mask    uint64       // sampling mask, captured at wrap time
+	quarErr error
+	n       uint64 // batched invocation count
+	fuelAcc int64  // batched fuel
+	denied  bool   // cached quarantine verdict, refreshed at sampling points
 }
 
 // Instrument wraps g so its invocations are recorded under the
@@ -62,24 +72,55 @@ func Instrument(g Graft, graft string, id ID) Graft {
 
 func instrument(g Graft, graft string, id ID, metered bool) Graft {
 	met := telemetry.Register(graft, string(id))
-	ig := &instrumented{inner: g, met: met, mask: met.Mask(), spanName: "engine:" + string(id)}
-	ig.quarErr = fmt.Errorf("tech %s: graft %q: %w", id, graft, telemetry.ErrQuarantined)
-	if fr, ok := g.(FuelReporter); ok && metered {
-		ig.fuel = fr
+	ig := &instrumented{inner: g, spanName: "engine:" + string(id)}
+	ig.b = batch{met: met, mask: met.Mask(),
+		quarErr: fmt.Errorf("tech %s: graft %q: %w", id, graft, telemetry.ErrQuarantined)}
+	if fr, ok := g.(FuelReporter); ok {
+		ig.fr = fr
+		if metered {
+			ig.b.fuel = fr
+		}
 	}
 	return ig
 }
 
-// callInner dispatches to the inner graft, routing through its
-// InvokeSpan when a causal span context is pending so a pool-worker
-// engine (or a wrapped upcall domain) can keep nesting child spans.
-func (ig *instrumented) callInner(entry string, args ...uint32) (uint32, error) {
-	if ig.span.Active() {
-		if si, ok := ig.inner.(SpanInvoker); ok {
-			return si.InvokeSpan(ig.span, entry, args...)
+// call runs fn(args) under the batch's bookkeeping.
+func (b *batch) call(fn func(args []uint32) (uint32, error), args []uint32) (uint32, error) {
+	if b.denied {
+		// Denied is already the slow path: re-read the shared flag so a
+		// lifted quarantine restores service immediately.
+		if b.met.Quarantined() {
+			return 0, b.quarErr
+		}
+		b.denied = false
+	}
+	b.n++
+	sampled := b.n&b.mask == 0
+	var t0 time.Time
+	if sampled {
+		// Sampling point: flush the batched count, refresh the cached
+		// watchdog verdict, and time this call.
+		b.denied = b.met.Quarantined()
+		b.met.AddInvocations(b.mask + 1)
+		t0 = time.Now()
+	}
+	v, err := fn(args)
+	if sampled {
+		b.met.RecordLatency(time.Since(t0))
+	}
+	if b.fuel != nil {
+		b.fuelAcc += b.fuel.FuelUsed()
+		// Errors are already the slow path: flush there too, so trap
+		// forensics see exact fuel.
+		if sampled || err != nil {
+			b.met.AddFuel(b.fuelAcc)
+			b.fuelAcc = 0
 		}
 	}
-	return ig.inner.Invoke(entry, args...)
+	if err != nil {
+		b.met.RecordError(err)
+	}
+	return v, err
 }
 
 // InvokeSpan implements SpanInvoker: the invocation is recorded as an
@@ -90,12 +131,12 @@ func (ig *instrumented) InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...
 	if !sp.Active() {
 		return ig.Invoke(entry, args...)
 	}
-	ig.span = sp.Ctx()
-	v, err := ig.Invoke(entry, args...)
-	ig.span = telemetry.SpanCtx{}
+	v, err := ig.b.call(func(args []uint32) (uint32, error) {
+		return InvokeSpan(ig.inner, sp.Ctx(), entry, args...)
+	}, args)
 	var fuelUsed uint64
-	if ig.fuel != nil {
-		fuelUsed = uint64(ig.fuel.FuelUsed())
+	if ig.b.fuel != nil {
+		fuelUsed = uint64(ig.b.fuel.FuelUsed())
 	}
 	var errBit uint64
 	if err != nil {
@@ -107,46 +148,18 @@ func (ig *instrumented) InvokeSpan(ctx telemetry.SpanCtx, entry string, args ...
 
 // Invoke implements Graft.
 func (ig *instrumented) Invoke(entry string, args ...uint32) (uint32, error) {
-	if ig.denied {
-		// Denied is already the slow path: re-read the shared flag so a
-		// lifted quarantine restores service immediately.
-		if ig.met.Quarantined() {
-			return 0, ig.quarErr
-		}
-		ig.denied = false
+	return ig.b.call(func(args []uint32) (uint32, error) {
+		return ig.inner.Invoke(entry, args...)
+	}, args)
+}
+
+// FuelUsed implements FuelReporter by forwarding to the wrapped engine
+// (0 when the engine has no fuel meter).
+func (ig *instrumented) FuelUsed() int64 {
+	if ig.fr == nil {
+		return 0
 	}
-	ig.n++
-	if ig.n&ig.mask == 0 {
-		// Sampling point: flush the batched counts, refresh the cached
-		// watchdog verdict, and time this call.
-		ig.denied = ig.met.Quarantined()
-		ig.met.AddInvocations(ig.mask + 1)
-		t0 := time.Now()
-		v, err := ig.callInner(entry, args...)
-		ig.met.RecordLatency(time.Since(t0))
-		if ig.fuel != nil {
-			ig.met.AddFuel(ig.fuelAcc + ig.fuel.FuelUsed())
-			ig.fuelAcc = 0
-		}
-		if err != nil {
-			ig.met.RecordError(err)
-		}
-		return v, err
-	}
-	v, err := ig.callInner(entry, args...)
-	if ig.fuel != nil {
-		ig.fuelAcc += ig.fuel.FuelUsed()
-	}
-	if err != nil {
-		// Errors are already the slow path: flush so trap forensics see
-		// exact fuel, then classify.
-		if ig.fuel != nil {
-			ig.met.AddFuel(ig.fuelAcc)
-			ig.fuelAcc = 0
-		}
-		ig.met.RecordError(err)
-	}
-	return v, err
+	return ig.fr.FuelUsed()
 }
 
 // SetProfile implements ProfileSetter by forwarding to the wrapped
@@ -162,74 +175,10 @@ func (ig *instrumented) SetProfile(s *telemetry.ProfScope, every int64) {
 func (ig *instrumented) Memory() *mem.Memory { return ig.inner.Memory() }
 
 // Direct implements DirectCaller: the resolved inner fast path (or the
-// Invoke fallback when the engine has none) wrapped with the same
-// bookkeeping as Invoke. Each resolved closure batches its own local
-// count (one flush per sampling interval); the unmetered closure is
-// specialized so the common case skips the fuel interface call.
+// Invoke fallback when the engine has none) run through a batch of its
+// own, flushing into the same metrics as Invoke.
 func (ig *instrumented) Direct(entry string) (func(args []uint32) (uint32, error), bool) {
 	fn := ResolveDirect(ig.inner, entry)
-	met := ig.met
-	fuel := ig.fuel
-	mask := ig.mask
-	quarErr := ig.quarErr
-	var local uint64
-	var denied bool
-	if fuel == nil {
-		return func(args []uint32) (uint32, error) {
-			if denied {
-				if met.Quarantined() {
-					return 0, quarErr
-				}
-				denied = false
-			}
-			local++
-			if local&mask == 0 {
-				denied = met.Quarantined()
-				met.AddInvocations(mask + 1)
-				t0 := time.Now()
-				v, err := fn(args)
-				met.RecordLatency(time.Since(t0))
-				if err != nil {
-					met.RecordError(err)
-				}
-				return v, err
-			}
-			v, err := fn(args)
-			if err != nil {
-				met.RecordError(err)
-			}
-			return v, err
-		}, true
-	}
-	var fuelAcc int64
-	return func(args []uint32) (uint32, error) {
-		if denied {
-			if met.Quarantined() {
-				return 0, quarErr
-			}
-			denied = false
-		}
-		local++
-		if local&mask == 0 {
-			denied = met.Quarantined()
-			met.AddInvocations(mask + 1)
-			t0 := time.Now()
-			v, err := fn(args)
-			met.RecordLatency(time.Since(t0))
-			met.AddFuel(fuelAcc + fuel.FuelUsed())
-			fuelAcc = 0
-			if err != nil {
-				met.RecordError(err)
-			}
-			return v, err
-		}
-		v, err := fn(args)
-		fuelAcc += fuel.FuelUsed()
-		if err != nil {
-			met.AddFuel(fuelAcc)
-			fuelAcc = 0
-			met.RecordError(err)
-		}
-		return v, err
-	}, true
+	b := &batch{met: ig.b.met, fuel: ig.b.fuel, mask: ig.b.mask, quarErr: ig.b.quarErr}
+	return func(args []uint32) (uint32, error) { return b.call(fn, args) }, true
 }

@@ -5,9 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"graftlab/internal/bytecode"
-	"graftlab/internal/compile"
-	"graftlab/internal/gel"
 	"graftlab/internal/mem"
 	"graftlab/internal/telemetry"
 )
@@ -19,10 +16,11 @@ import (
 // one goroutine at a time; the pool is the concurrency layer on top:
 // each instance owns a private linear memory and a private engine, and
 // the load-time artifacts that ARE immutable — the parsed GEL program,
-// the verified bytecode module — are built once and shared by every
-// instance. This mirrors how production extension runtimes go multicore:
-// eBPF runs the same verified program on every CPU with per-CPU maps for
-// the mutable state; here the per-CPU state is the instance.
+// the verified bytecode module, the assembled HiPEC programs — are
+// prepared once and shared by every instance. This mirrors how
+// production extension runtimes go multicore: eBPF runs the same
+// verified program on every CPU with per-CPU maps for the mutable
+// state; here the per-CPU state is the instance.
 //
 // Get/Put are sync.Pool-backed, so idle instances are dropped under
 // memory pressure and re-created on demand; Close tears down every
@@ -30,15 +28,15 @@ import (
 // mode, whose instances own goroutines).
 type Pool struct {
 	id   ID
-	src  Source
-	opts Options
+	name string
 	cfg  PoolConfig
 
-	// Shared immutable load-time artifacts (see newInstance).
-	prog *gel.Program
-	mod  *bytecode.Module
+	// bind instantiates an engine over a fresh memory from the front
+	// end prepare built once.
+	bind func(m *mem.Memory) (Graft, error)
 
 	instrument bool // captured at NewPool time, like Load
+	metered    bool // the engine runs with a fuel budget
 
 	free sync.Pool
 
@@ -71,20 +69,18 @@ type PoolConfig struct {
 
 // Instance is one pooled graft: a private engine over a private linear
 // memory. It implements Graft; use it from one goroutine at a time and
-// return it with Pool.Put when done. A trap does not poison an instance:
+// return it with Pool.Put when done. The embedded Graft is the engine
+// as Load would return it, optional interfaces (DirectCaller,
+// FuelReporter) included. A trap does not poison an instance:
 // every engine resets its invocation state on entry, so a trapped
 // instance is reusable as-is (the linear memory keeps whatever the
 // faulting invocation wrote, exactly like a real extension's state).
 type Instance struct {
 	Graft
-	mem   *mem.Memory
 	close func()
 }
 
-// Memory returns the instance's private linear memory.
-func (it *Instance) Memory() *mem.Memory { return it.mem }
-
-// NewPool validates the source under the technology by building one
+// NewPool prepares the source under the technology once, builds one
 // instance eagerly (so a bad program fails at pool construction, not
 // first Get) and returns the pool. Like Load, the telemetry decision is
 // made once here: instances created while telemetry is enabled are
@@ -94,32 +90,12 @@ func NewPool(id ID, src Source, opts Options, cfg PoolConfig) (*Pool, error) {
 	if cfg.MemSize == 0 {
 		return nil, fmt.Errorf("tech: pool for %q needs a MemSize", src.Name)
 	}
-	p := &Pool{id: id, src: src, opts: opts, cfg: cfg, instrument: !telemetry.Disabled()}
-
-	// Build the shared immutable artifacts once. native.Compile and the
-	// VM constructors only read these, so concurrent instance creation
-	// is safe.
-	switch id {
-	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull, Bytecode, AOT:
-		prog, err := gel.ParseAndCheck(src.GEL)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		p.prog = prog
-		if id == Bytecode || id == AOT {
-			mod, err := compile.Compile(prog)
-			if err != nil {
-				return nil, fmt.Errorf("tech %s: %w", id, err)
-			}
-			if id == Bytecode {
-				if _, err := ParseVMMode(string(opts.VM)); err != nil {
-					return nil, err
-				}
-			}
-			p.mod = mod
-		}
+	bind, err := prepare(id, src, opts)
+	if err != nil {
+		return nil, err
 	}
-
+	p := &Pool{id: id, name: src.Name, cfg: cfg, bind: bind,
+		instrument: !telemetry.Disabled(), metered: opts.Fuel > 0}
 	first, err := p.newInstance()
 	if err != nil {
 		return nil, err
@@ -128,25 +104,25 @@ func NewPool(id ID, src Source, opts Options, cfg PoolConfig) (*Pool, error) {
 	return p, nil
 }
 
-// newInstance builds one fresh instance from the shared artifacts.
+// newInstance binds one fresh instance to a private memory.
 func (p *Pool) newInstance() (*Instance, error) {
 	m := mem.New(p.cfg.MemSize)
 	if p.cfg.Setup != nil {
 		if err := p.cfg.Setup(m); err != nil {
-			return nil, fmt.Errorf("tech: pool setup for %q: %w", p.src.Name, err)
+			return nil, fmt.Errorf("tech: pool setup for %q: %w", p.name, err)
 		}
 	}
-	g, err := p.loadEngine(m)
+	g, err := p.bind(m)
 	if err != nil {
 		return nil, err
 	}
-	attachProfile(g, p.src.Name, p.id)
-	it := &Instance{mem: m}
+	attachProfile(g, p.name, p.id)
+	it := &Instance{}
 	if p.cfg.Wrap != nil {
 		g, it.close = p.cfg.Wrap(g)
 	}
 	if p.instrument {
-		g = instrument(g, p.src.Name, p.id, p.opts.Fuel > 0)
+		g = instrument(g, p.name, p.id, p.metered)
 	}
 	it.Graft = g
 
@@ -156,7 +132,7 @@ func (p *Pool) newInstance() (*Instance, error) {
 		if it.close != nil {
 			it.close()
 		}
-		return nil, fmt.Errorf("tech: pool for %q is closed", p.src.Name)
+		return nil, fmt.Errorf("tech: pool for %q is closed", p.name)
 	}
 	p.all = append(p.all, it)
 	p.created++
@@ -164,47 +140,11 @@ func (p *Pool) newInstance() (*Instance, error) {
 	return it, nil
 }
 
-// loadEngine binds a private engine to m, reusing the shared parsed
-// program / compiled module where the class has one. The per-class
-// branches intentionally mirror load(): the Compiled*, Script, and
-// Domain classes have per-instance load costs by nature (a constructor
-// call, a source re-parse, a 20-instruction assembly), while the
-// codegen and bytecode classes share their expensive front-end work.
-func (p *Pool) loadEngine(m *mem.Memory) (Graft, error) {
-	switch p.id {
-	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull:
-		cfg, err := Config(p.id)
-		if err != nil {
-			return nil, err
-		}
-		np, err := nativeCompile(p.prog, m, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", p.id, err)
-		}
-		np.Fuel = p.opts.Fuel
-		return np, nil
-	case Bytecode:
-		cfg, err := Config(p.id)
-		if err != nil {
-			return nil, err
-		}
-		return newVMEngine(p.mod, m, cfg, p.opts)
-	case AOT:
-		cfg, err := Config(p.id)
-		if err != nil {
-			return nil, err
-		}
-		return newAOTEngine(p.mod, m, cfg, p.opts)
-	default:
-		return load(p.id, p.src, m, p.opts)
-	}
-}
-
 // Get returns an idle instance, creating one if the pool is empty.
 // After Close, Get fails even when the free list still holds instances.
 func (p *Pool) Get() (*Instance, error) {
 	if p.closed.Load() {
-		return nil, fmt.Errorf("tech: pool for %q is closed", p.src.Name)
+		return nil, fmt.Errorf("tech: pool for %q is closed", p.name)
 	}
 	if it, ok := p.free.Get().(*Instance); ok {
 		return it, nil
@@ -228,7 +168,7 @@ func (p *Pool) Put(it *Instance) {
 // span tracing is enabled the checkout is recorded as a "pool" root
 // span with the engine invocation nested inside it.
 func (p *Pool) Invoke(entry string, args ...uint32) (uint32, error) {
-	sp := telemetry.RootSpan("pool:"+p.src.Name, "pool")
+	sp := telemetry.RootSpan("pool:"+p.name, "pool")
 	it, err := p.Get()
 	if err != nil {
 		if sp.Active() {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"graftlab/internal/aot"
-	"graftlab/internal/bytecode"
 	"graftlab/internal/compile"
 	"graftlab/internal/gel"
 	"graftlab/internal/hipec"
@@ -259,7 +258,11 @@ func Load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 	if telemetry.Enabled() && telemetry.Quarantined(src.Name, string(id)) {
 		return nil, fmt.Errorf("tech %s: graft %q: %w", id, src.Name, telemetry.ErrQuarantined)
 	}
-	g, err := load(id, src, m, opts)
+	bind, err := prepare(id, src, opts)
+	if err != nil {
+		return nil, err
+	}
+	g, err := bind(m)
 	if err != nil {
 		return g, err
 	}
@@ -312,118 +315,108 @@ func InvokeSpan(g Graft, ctx telemetry.SpanCtx, entry string, args ...uint32) (u
 	return g.Invoke(entry, args...)
 }
 
-// load is the uninstrumented loader behind Load.
-func load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
+// prepare does src's front-end work under id once — parse and check
+// the GEL, compile it to bytecode, validate the VM mode, assemble the
+// HiPEC programs — and returns a bind that instantiates a private engine
+// over a given memory. The prepared artifacts are immutable, so bind is
+// safe to call from many goroutines at once (Pool does). The Compiled*
+// and Script classes have no shareable front end: their bind runs the
+// whole per-engine load (a constructor call, a source parse).
+func prepare(id ID, src Source, opts Options) (func(m *mem.Memory) (Graft, error), error) {
 	cfg, err := Config(id)
 	if err != nil {
 		return nil, err
 	}
+	wrapErr := func(err error) error { return fmt.Errorf("tech %s: %w", id, err) }
 	switch id {
 	case CompiledUnsafe, CompiledSafe, CompiledSafeNil, CompiledSFI, CompiledSFIFull:
 		if src.Compiled == nil {
 			return nil, fmt.Errorf("tech %s: graft %q has no compiled implementation", id, src.Name)
 		}
-		return src.Compiled(cfg, m)
-	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull:
-		prog, err := gel.ParseAndCheck(src.GEL)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		np, err := nativeCompile(prog, m, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		np.Fuel = opts.Fuel
-		return np, nil
-	case Bytecode:
-		prog, err := gel.ParseAndCheck(src.GEL)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		mod, err := compile.Compile(prog)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		return newVMEngine(mod, m, cfg, opts)
-	case AOT:
-		prog, err := gel.ParseAndCheck(src.GEL)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		mod, err := compile.Compile(prog)
-		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		return newAOTEngine(mod, m, cfg, opts)
+		return func(m *mem.Memory) (Graft, error) { return src.Compiled(cfg, m) }, nil
 	case Script:
 		if src.Tcl == "" {
 			return nil, fmt.Errorf("tech %s: graft %q has no script translation", id, src.Name)
 		}
-		in := script.New(m, cfg)
-		in.Fuel = opts.Fuel
-		in.CacheParse = opts.ScriptParseCache
-		if err := in.Load(src.Tcl); err != nil {
-			return nil, fmt.Errorf("tech %s: %w", id, err)
-		}
-		return in, nil
+		return func(m *mem.Memory) (Graft, error) {
+			in := script.New(m, cfg)
+			in.Fuel = opts.Fuel
+			in.CacheParse = opts.ScriptParseCache
+			if err := in.Load(src.Tcl); err != nil {
+				return nil, wrapErr(err)
+			}
+			return in, nil
+		}, nil
 	case Domain:
 		if len(src.Hipec) == 0 {
 			return nil, fmt.Errorf("tech %s: graft %q is not expressible in the domain language", id, src.Name)
 		}
-		g := &hipecGraft{m: m, fuel: opts.Fuel, progs: make(map[string]*hipec.Program, len(src.Hipec))}
+		progs := make(map[string]*hipec.Program, len(src.Hipec))
 		for entry, asm := range src.Hipec {
 			p, err := hipec.Assemble(asm)
 			if err != nil {
 				return nil, fmt.Errorf("tech %s: entry %q: %w", id, entry, err)
 			}
-			g.progs[entry] = p
+			progs[entry] = p
 		}
-		return g, nil
+		return func(m *mem.Memory) (Graft, error) {
+			return &hipecGraft{m: m, fuel: opts.Fuel, progs: progs}, nil
+		}, nil
 	}
-	return nil, fmt.Errorf("tech: unknown technology %q", id)
-}
 
-// nativeCompile binds a parsed (and possibly folded) GEL program to m
-// under cfg. Shared by load and Pool.newInstance: the parsed program is
-// immutable, so many instances can be compiled from it concurrently.
-func nativeCompile(prog *gel.Program, m *mem.Memory, cfg mem.Config) (*native.Prog, error) {
-	return native.Compile(prog, m, cfg)
-}
-
-// newVMEngine instantiates the selected bytecode engine over a compiled
-// module. Shared by load and Pool.newInstance: the module is immutable
-// after compile+verify, so instances translate from it concurrently.
-func newVMEngine(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, opts Options) (Graft, error) {
+	// The remaining classes all start from checked GEL.
+	prog, err := gel.ParseAndCheck(src.GEL)
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	switch id {
+	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull:
+		return func(m *mem.Memory) (Graft, error) {
+			np, err := native.Compile(prog, m, cfg)
+			if err != nil {
+				return nil, wrapErr(err)
+			}
+			np.Fuel = opts.Fuel
+			return np, nil
+		}, nil
+	}
+	// Bytecode and AOT also share the compiled module.
+	mod, err := compile.Compile(prog)
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	if id == AOT {
+		return func(m *mem.Memory) (Graft, error) {
+			p, err := aot.New(mod, m, cfg)
+			if err != nil {
+				return nil, wrapErr(err)
+			}
+			p.Fuel = opts.Fuel
+			return p, nil
+		}, nil
+	}
 	mode, err := ParseVMMode(string(opts.VM))
 	if err != nil {
 		return nil, err
 	}
 	if mode == VMBaseline {
-		v, err := vm.New(mod, m, cfg)
+		return func(m *mem.Memory) (Graft, error) {
+			v, err := vm.New(mod, m, cfg)
+			if err != nil {
+				return nil, wrapErr(err)
+			}
+			v.Fuel = opts.Fuel
+			return v, nil
+		}, nil
+	}
+	return func(m *mem.Memory) (Graft, error) {
+		v, err := vm.NewOpt(mod, m, cfg, vm.OptConfig{})
 		if err != nil {
-			return nil, fmt.Errorf("tech %s: %w", Bytecode, err)
+			return nil, wrapErr(err)
 		}
 		v.Fuel = opts.Fuel
 		return v, nil
-	}
-	v, err := vm.NewOpt(mod, m, cfg, vm.OptConfig{})
-	if err != nil {
-		return nil, fmt.Errorf("tech %s: %w", Bytecode, err)
-	}
-	v.Fuel = opts.Fuel
-	return v, nil
-}
-
-// newAOTEngine verifies and translates a compiled module for the AOT
-// class. Shared by load and Pool.newInstance, like newVMEngine: the
-// module is immutable, so instances translate from it concurrently.
-func newAOTEngine(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, opts Options) (Graft, error) {
-	p, err := aot.New(mod, m, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("tech %s: %w", AOT, err)
-	}
-	p.Fuel = opts.Fuel
-	return p, nil
+	}, nil
 }
 
 // hipecGraft adapts verified HiPEC-class programs to the Graft interface.
@@ -439,7 +432,7 @@ func (g *hipecGraft) Invoke(entry string, args ...uint32) (uint32, error) {
 	if !ok {
 		return 0, fmt.Errorf("domain: no entry %q", entry)
 	}
-	return p.Run(g.m, g.fuel, args...)
+	return g.invoke(p, args)
 }
 
 // Memory implements Graft.
@@ -451,17 +444,10 @@ func (g *hipecGraft) Direct(entry string) (func(args []uint32) (uint32, error), 
 	if !ok {
 		return nil, false
 	}
-	m, fuel := g.m, g.fuel
-	return func(args []uint32) (uint32, error) {
-		return p.Run(m, fuel, args...)
-	}, true
+	return func(args []uint32) (uint32, error) { return g.invoke(p, args) }, true
 }
 
-// MustLoad loads a known-good compiled-in graft, panicking on error.
-func MustLoad(id ID, src Source, m *mem.Memory, opts Options) Graft {
-	g, err := Load(id, src, m, opts)
-	if err != nil {
-		panic(err)
-	}
-	return g
+// invoke is the entry body Invoke and Direct share.
+func (g *hipecGraft) invoke(p *hipec.Program, args []uint32) (uint32, error) {
+	return p.Run(g.m, g.fuel, args...)
 }

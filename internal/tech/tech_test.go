@@ -9,6 +9,8 @@ import (
 	"graftlab/internal/compile"
 	"graftlab/internal/gel"
 	"graftlab/internal/mem"
+	"graftlab/internal/native"
+	"graftlab/internal/vm"
 )
 
 const memSize = 1 << 16
@@ -405,13 +407,9 @@ func loadFolded(id ID, src Source) (Graft, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newVMEngine(mod, mem.New(memSize), cfg, Options{})
+		return vm.NewOpt(mod, mem.New(memSize), cfg, vm.OptConfig{})
 	}
-	np, err := nativeCompile(prog, mem.New(memSize), cfg)
-	if err != nil {
-		return nil, err
-	}
-	return np, nil
+	return native.Compile(prog, mem.New(memSize), cfg)
 }
 
 func TestTrapsAreRecoverable(t *testing.T) {

@@ -113,11 +113,18 @@ type Windows struct {
 	now   func() int64 // unix ns; swapped by tests
 }
 
+// windowClockBase anchors the window clock: unix ns advanced by the
+// monotonic clock alone, since time.Since reads one clock where
+// time.Now reads two, and the slot's data plane reads this clock for
+// every windowed add.
+var windowClockBase = time.Now()
+
 func newWindows() *Windows {
+	base := windowClockBase.UnixNano()
 	return &Windows{
 		width: windowWidth.Load(),
 		ring:  make([]windowBucket, windowBuckets.Load()),
-		now:   func() int64 { return time.Now().UnixNano() },
+		now:   func() int64 { return base + int64(time.Since(windowClockBase)) },
 	}
 }
 
