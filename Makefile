@@ -69,9 +69,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 
 # Run every benchmark exactly once — catches bit-rot in benchmark-only
-# code paths without paying measurement time.
+# code paths without paying measurement time. The lifecycle and
+# telemetry packages carry the hot-path benchmarks (BenchmarkSlotDo,
+# BenchmarkObservabilityHotPath) the observability budget is read from.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run XXX .
+	$(GO) test -bench=. -benchtime=1x -run XXX . ./internal/lifecycle ./internal/telemetry
 
 # Regression gate: rerun Table 5, the batched packet filter, and the
 # lifecycle swap-under-load experiment at quick scale and compare against

@@ -62,17 +62,22 @@ type Carrier interface {
 // contract, so the mutex is what makes a lone engine safe to hang off a
 // slot that concurrent workers invoke.
 type singleCarrier struct {
-	mu sync.Mutex
-	g  tech.Graft
+	mu      sync.Mutex
+	g       tech.Graft
+	release func() // c.mu.Unlock, bound once so Acquire does not allocate
 }
 
 func (c *singleCarrier) Acquire() (tech.Graft, func(), error) {
 	c.mu.Lock()
-	return c.g, c.mu.Unlock, nil
+	return c.g, c.release, nil
 }
 
 // Single wraps one loaded engine as a Carrier, serializing access.
-func Single(g tech.Graft) Carrier { return &singleCarrier{g: g} }
+func Single(g tech.Graft) Carrier {
+	c := &singleCarrier{g: g}
+	c.release = c.mu.Unlock
+	return c
+}
 
 // pooledCarrier adapts a tech.Pool.
 type pooledCarrier struct{ p *tech.Pool }
@@ -222,10 +227,11 @@ func (v *Version) setState(s State) {
 // Invocations reports how many invocations committed against v.
 func (v *Version) Invocations() uint64 { return v.stats.invocations.Load() }
 
-// record commits one completed invocation's telemetry. Called only
-// after the live-set revalidation in Slot.Do, so every execution is
-// recorded at most once and always against the version that served it.
-func (v *Version) record(err error, lat time.Duration, fuel int64) {
+// record commits the telemetry of one completed invocation that ended
+// at window-clock reading at (telemetry.Now). Called only after the
+// live-set revalidation in Slot.Do, so every execution is recorded at
+// most once and always against the version that served it.
+func (v *Version) record(err error, at int64, lat time.Duration, fuel int64) {
 	v.stats.invocations.Add(1)
 	v.stats.latency.Record(lat)
 	if fuel > 0 {
@@ -243,14 +249,7 @@ func (v *Version) record(err error, lat time.Duration, fuel int64) {
 		}
 	}
 	if v.met != nil {
-		v.met.AddInvocations(1)
-		v.met.RecordLatency(lat)
-		if fuel > 0 {
-			v.met.AddFuel(fuel)
-		}
-		if err != nil {
-			v.met.RecordError(err)
-		}
+		v.met.Commit(at, lat, fuel, err)
 	}
 }
 
@@ -575,9 +574,10 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 				return res, fmt.Errorf("lifecycle: prep %s: %w", v.Artifact.Ref(), perr)
 			}
 		}
-		start := time.Now()
+		start := telemetry.Now()
 		val, ierr := g.Invoke(entry, args...)
-		lat := time.Since(start)
+		end := telemetry.Now()
+		lat := time.Duration(end - start)
 		var fuel int64
 		if fr, ok := g.(tech.FuelReporter); ok {
 			fuel = fr.FuelUsed()
@@ -593,7 +593,7 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 			s.retries.Add(1)
 			continue
 		}
-		v.record(ierr, lat, fuel)
+		v.record(ierr, end, lat, fuel)
 		res.Value = val
 		res.Version = v.Artifact.Version
 		res.Epoch = ls.epoch

@@ -355,21 +355,64 @@ func TestVersionedTelemetryRegistration(t *testing.T) {
 	if err := s.Activate(tech.NewArtifact(decideSrc(1), 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := s.Invoke("decide", 3); err != nil {
-			t.Fatal(err)
+	invoke := func(x uint32) {
+		t.Helper()
+		if _, err := s.Invoke("decide", x); (err != nil) != (x == 13) {
+			t.Fatalf("decide(%d): err = %v", x, err)
 		}
 	}
-	name := lifecycle.VersionedName("decide", 1)
-	for _, snap := range telemetry.SnapshotAll() {
-		if snap.Graft == name && snap.Tech == string(tech.Bytecode) {
-			if snap.Invocations < 4 {
-				t.Fatalf("versioned pair recorded %d invocations, want >= 4", snap.Invocations)
-			}
-			return
+	for x := uint32(1); x <= 4; x++ {
+		invoke(x)
+	}
+	invoke(13) // one OOB trap, committed against v1
+	if err := s.Stage(tech.NewArtifact(decideSrc(2), 2), nil, 2); err != nil {
+		t.Fatal(err)
+	}
+	for x := uint32(5); x <= 10; x++ {
+		invoke(x) // every second call is served by the v2 canary
+	}
+	if err := s.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	invoke(13)
+	invoke(7)
+
+	// The versioned key mirrors each version's own ledger exactly: every
+	// committed invocation, its fuel, and its trap, in both the
+	// cumulative counters and the ring's retained window.
+	byName := map[string]*telemetry.GraftMetrics{}
+	for _, m := range telemetry.Metrics() {
+		if m.Tech == string(tech.Bytecode) {
+			byName[m.GraftName] = m
 		}
 	}
-	t.Fatalf("no telemetry pair registered under %q", name)
+	for _, v := range s.Versions() {
+		name := lifecycle.VersionedName("decide", v.Artifact.Version)
+		m := byName[name]
+		if m == nil {
+			t.Fatalf("no telemetry pair registered under %q", name)
+		}
+		want := v.Snapshot()
+		got := m.Snapshot()
+		win := m.Window(m.WindowSpan())
+		var traps uint64
+		for _, n := range got.Traps {
+			traps += n
+		}
+		if want.Invocations == 0 || want.Traps != 1 {
+			t.Fatalf("%s: scenario gave %d invocations, %d traps; want some and 1", name, want.Invocations, want.Traps)
+		}
+		if got.Invocations != want.Invocations || win.Invocations != want.Invocations {
+			t.Errorf("%s: invocations key=%d window=%d, version=%d", name, got.Invocations, win.Invocations, want.Invocations)
+		}
+		if traps != want.Traps || win.Traps != want.Traps || got.Errors != want.Errors {
+			t.Errorf("%s: traps key=%d window=%d errors=%d, version traps=%d errors=%d",
+				name, traps, win.Traps, got.Errors, want.Traps, want.Errors)
+		}
+		if fpi := float64(got.FuelConsumed) / float64(got.Invocations); got.FuelConsumed <= 0 || fpi != want.FuelPerInvocation {
+			t.Errorf("%s: fuel key=%d (%.3f/call), version %.3f/call", name, got.FuelConsumed, fpi, want.FuelPerInvocation)
+		}
+	}
 }
 
 // TestResultFuelSurvivesWrapping pins Result.Fuel across carriers: the

@@ -25,12 +25,15 @@ import (
 // published epoch. There is no rotation goroutine and no lock anywhere
 // on the path.
 //
-// Budget: window recording rides the existing batched single-writer
-// flush points (AddInvocations / RecordLatency / AddFuel fire every
-// sampling interval, RecordError only on the already-slow error path),
-// so the added cost is one coarse clock read plus a handful of
+// Budget: the batched wrappers record windows only at their existing
+// single-writer flush points (AddInvocations / RecordLatency / AddFuel
+// fire every sampling interval, RecordError only on the already-slow
+// error path), so their added cost is one clock read plus a handful of
 // uncontended atomic adds per flush — amortized to well under a
-// nanosecond per invocation at the default 1-in-256 interval.
+// nanosecond per invocation at the default 1-in-256 interval. The
+// lifecycle slot records every committed invocation through Commit,
+// which reuses the caller's end-of-invocation Now reading: one bucket
+// lookup and no extra clock read per call.
 // BenchmarkObservabilityHotPath/window-* prices the pieces and the A6
 // ablation row re-measures the end-to-end budget with windows enabled.
 
@@ -113,18 +116,24 @@ type Windows struct {
 	now   func() int64 // unix ns; swapped by tests
 }
 
-// windowClockBase anchors the window clock: unix ns advanced by the
-// monotonic clock alone, since time.Since reads one clock where
-// time.Now reads two, and the slot's data plane reads this clock for
-// every windowed add.
-var windowClockBase = time.Now()
+// windowClockBase anchors the window clock; windowClockUnix is its
+// unix-ns reading.
+var (
+	windowClockBase = time.Now()
+	windowClockUnix = windowClockBase.UnixNano()
+)
+
+// Now reads the window clock: unix ns advanced by the monotonic clock
+// alone, since time.Since reads one clock where time.Now reads two. A
+// caller that times an invocation with two Now readings can hand the
+// second to Commit, so the window costs it no further clock read.
+func Now() int64 { return windowClockUnix + int64(time.Since(windowClockBase)) }
 
 func newWindows() *Windows {
-	base := windowClockBase.UnixNano()
 	return &Windows{
 		width: windowWidth.Load(),
 		ring:  make([]windowBucket, windowBuckets.Load()),
-		now:   func() int64 { return base + int64(time.Since(windowClockBase)) },
+		now:   Now,
 	}
 }
 
@@ -133,15 +142,18 @@ func (w *Windows) Span() time.Duration {
 	return time.Duration(w.width * int64(len(w.ring)))
 }
 
-// bucket returns the live bucket for the current clock reading,
+// bucket returns the live bucket for the current clock reading.
+func (w *Windows) bucket() *windowBucket { return w.bucketAt(w.now()) }
+
+// bucketAt returns the live bucket for clock reading at (unix ns),
 // rotating (zeroing) a recycled slot on first entry. Lock-free: the
 // only loop is the rotation CAS, taken once per key per bucket width.
 // A writer that observes a *newer* epoch than its own clock reading
 // (its read raced a rotation) records into the newer bucket rather
 // than resurrecting the old one — at worst one flush lands one slice
 // late, never in the future.
-func (w *Windows) bucket() *windowBucket {
-	e := w.now() / w.width
+func (w *Windows) bucketAt(at int64) *windowBucket {
+	e := at / w.width
 	b := &w.ring[int(e%int64(len(w.ring)))]
 	for {
 		cur := b.epoch.Load()
@@ -167,16 +179,6 @@ func (w *Windows) addInvocations(n uint64) { w.bucket().invocations.Add(n) }
 func (w *Windows) recordLatency(d time.Duration) { w.bucket().lat.Record(d) }
 
 func (w *Windows) addFuel(n int64) { w.bucket().fuel.Add(n) }
-
-func (w *Windows) recordError() { w.bucket().errs.Add(1) }
-
-func (w *Windows) recordTrap(preempt bool) {
-	b := w.bucket()
-	b.traps.Add(1)
-	if preempt {
-		b.preempts.Add(1)
-	}
-}
 
 // WindowSnapshot aggregates one key's activity over the last Window of
 // time: absolute counts plus the derived rates the SLO plane and the

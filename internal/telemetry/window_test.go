@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +36,34 @@ func TestSetWindowConfigValidates(t *testing.T) {
 	}
 	if err := SetWindowConfig(prev); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCommitUsesCallersReading pins Commit's contract: everything one
+// committed call records lands in the bucket of the caller's clock
+// reading, not the bucket the window clock is in when Commit runs, and
+// the cumulative counters see the same call.
+func TestCommitUsesCallersReading(t *testing.T) {
+	ResetMetrics()
+	t.Cleanup(func() { ResetMetrics() })
+	clk := newFakeClock(time.Hour)
+	m := registerWindowed(t, "commit", "compiled-unsafe", WindowConfig{Width: time.Second, Buckets: 8}, clk)
+	at := clk.now()
+	clk.advance(3 * time.Second) // the calls ended three slices ago
+	m.Commit(at, 2*time.Microsecond, 40, nil)
+	m.Commit(at, 3*time.Microsecond, 0, fuelTrap())
+	m.Commit(at, time.Microsecond, 0, errors.New("no such entry"))
+
+	if s := m.Window(time.Second); s.Invocations != 0 {
+		t.Fatalf("current slice holds %d invocations, want 0", s.Invocations)
+	}
+	s := m.Window(4 * time.Second)
+	if s.Invocations != 3 || s.Fuel != 40 || s.Traps != 1 || s.Preempts != 1 || s.Errors != 1 || s.LatencySamples != 3 {
+		t.Errorf("window over the calls' slice = %+v", s)
+	}
+	c := m.Snapshot()
+	if c.Invocations != 3 || c.FuelConsumed != 40 || c.FuelPreemptions != 1 || c.Errors != 1 || c.LatencySamples != 3 {
+		t.Errorf("cumulative snapshot = %+v", c)
 	}
 }
 
