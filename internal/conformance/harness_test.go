@@ -55,8 +55,9 @@ var engineMatrix = []engineDef{
 }
 
 // refEngine is the oracle's reference row: checked policy, no NIL page,
-// native closures — the most literal rendering of GEL semantics.
-const refEngine = "native-safe"
+// the naive switch-dispatch interpreter with no fusion, no elision and
+// per-instruction fuel — the most literal rendering of GEL semantics.
+const refEngine = "bytecode-baseline"
 
 // exactCohort lists the engines whose outcomes must match the reference
 // byte for byte on every program, tame or wild: the checked engines, the
