@@ -111,20 +111,29 @@ type Prog struct {
 // New verifies mod — structurally via bytecode.Verify, then for memory
 // safety via interval analysis — and translates it into closure-threaded
 // form against m under cfg. The only rejections are bytecode.Verify's
-// own (plus the sandbox policy, which belongs to the SFI classes):
-// unprovable programs are translated with checked fallbacks, never
-// refused.
+// own: unprovable programs are translated with checked fallbacks, never
+// refused. Sandbox-masked accesses are never elided: the mask is the
+// policy's cost, not a check a proof can discharge.
 func New(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*Prog, error) {
-	if cfg.Policy == mem.PolicySandbox {
-		return nil, fmt.Errorf("aot: sandbox policy is the SFI classes' job; aot supports unsafe/checked")
-	}
+	return build(mod, m, cfg, true)
+}
+
+// NewUnproven is New without the interval analysis: every access keeps
+// its policy's check or mask. It is the runtime-codegen classes'
+// translation, whose cost model is a check per access (Modula-3) or a
+// mask per store (Omniware) rather than a load-time proof.
+func NewUnproven(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*Prog, error) {
+	return build(mod, m, cfg, false)
+}
+
+func build(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, prove bool) (*Prog, error) {
 	if err := bytecode.Verify(mod); err != nil {
 		return nil, err
 	}
 	p := &Prog{mod: mod, m: m}
 	p.fns = make([]afunc, len(mod.Funcs))
 	for i, f := range mod.Funcs {
-		af, err := translateFunc(p, mod, f, m, cfg)
+		af, err := translateFunc(p, mod, f, m, cfg, prove)
 		if err != nil {
 			return nil, err
 		}

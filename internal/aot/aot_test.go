@@ -26,8 +26,8 @@ import (
 
 const testMemSize = 1 << 16
 
-// aotPolicies are the configurations the class supports; PolicySandbox is
-// rejected at construction (TestSandboxRejected).
+// aotPolicies are the configurations the translator supports: the AOT
+// class runs checked, the runtime-codegen classes run all five.
 var aotPolicies = []struct {
 	name string
 	cfg  mem.Config
@@ -35,6 +35,18 @@ var aotPolicies = []struct {
 	{"unsafe", mem.Config{Policy: mem.PolicyUnsafe}},
 	{"checked", mem.Config{Policy: mem.PolicyChecked}},
 	{"checked-nil", mem.Config{Policy: mem.PolicyChecked, NilCheck: true}},
+	{"sandbox", mem.Config{Policy: mem.PolicySandbox}},
+	{"sandbox+ReadProtect", mem.Config{Policy: mem.PolicySandbox, ReadProtect: true}},
+}
+
+// constructors are the two translations: New proves what it can and
+// elides those checks, NewUnproven keeps every check and mask.
+var constructors = []struct {
+	name string
+	new  func(*bytecode.Module, *mem.Memory, mem.Config) (*Prog, error)
+}{
+	{"proven", New},
+	{"unproven", NewUnproven},
 }
 
 func compileGEL(t testing.TB, src string) *bytecode.Module {
@@ -52,9 +64,15 @@ func compileGEL(t testing.TB, src string) *bytecode.Module {
 
 func newProg(t testing.TB, mod *bytecode.Module, cfg mem.Config, init []byte, fuel int64) *Prog {
 	t.Helper()
+	return newProgWith(t, New, mod, cfg, init, fuel)
+}
+
+func newProgWith(t testing.TB, build func(*bytecode.Module, *mem.Memory, mem.Config) (*Prog, error),
+	mod *bytecode.Module, cfg mem.Config, init []byte, fuel int64) *Prog {
+	t.Helper()
 	m := mem.New(testMemSize)
 	copy(m.Data, init)
-	p, err := New(mod, m, cfg)
+	p, err := build(mod, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +155,7 @@ func checkSameAsRef(t *testing.T, label, src string,
 // TestAOTAgreesWithOptVMOnRandomPrograms is the main differential
 // property: random GEL programs with wild addresses, division, helper
 // calls, and nested control flow, under every supported policy, with
-// both ample and scarce fuel.
+// both ample and scarce fuel, through both constructors.
 func TestAOTAgreesWithOptVMOnRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(1931))
 	n := 400
@@ -157,12 +175,14 @@ func TestAOTAgreesWithOptVMOnRandomPrograms(t *testing.T) {
 		for _, pol := range aotPolicies {
 			ref := newRef(t, mod, pol.cfg, init, fuel)
 			rv, rt := runMain(t, ref, args)
-			p := newProg(t, mod, pol.cfg, init, fuel)
-			av, at := runMain(t, p, args)
-			label := fmt.Sprintf("program %d policy %s fuel %d args %v", i, pol.name, fuel, args)
-			checkSameAsRef(t, label, src,
-				rv, rt, ref.Memory().Data, ref.FuelUsed(),
-				av, at, p.Memory().Data, p.FuelUsed())
+			for _, c := range constructors {
+				p := newProgWith(t, c.new, mod, pol.cfg, init, fuel)
+				av, at := runMain(t, p, args)
+				label := fmt.Sprintf("program %d policy %s %s fuel %d args %v", i, pol.name, c.name, fuel, args)
+				checkSameAsRef(t, label, src,
+					rv, rt, ref.Memory().Data, ref.FuelUsed(),
+					av, at, p.Memory().Data, p.FuelUsed())
+			}
 		}
 	}
 }
@@ -362,13 +382,38 @@ func TestFuelCliffAtBlockBoundary(t *testing.T) {
 	}
 }
 
-// TestSandboxRejected: the sandbox policy belongs to the SFI classes;
-// constructing an AOT program under it must fail loudly, not silently
-// degrade to checked semantics.
-func TestSandboxRejected(t *testing.T) {
-	mod := compileGEL(t, `func main(a, b) { return a + b; }`)
-	if _, err := New(mod, mem.New(1<<12), mem.Config{Policy: mem.PolicySandbox}); err == nil {
-		t.Fatal("New accepted PolicySandbox")
+// TestSandboxMasksAccesses pins the Omniware regime the SFI classes run
+// under: a wild store is masked into the region (a&mask&^3 for words,
+// a&mask for bytes) instead of trapping; a wild load traps on the
+// bounds backstop unless read protection masks it too; and a masked
+// access is never counted as proven, under either constructor.
+func TestSandboxMasksAccesses(t *testing.T) {
+	mod := compileGEL(t, `func main(a, b) {
+	st32(a, 0x11223344);
+	st8(a + 8, 0x55);
+	return ld32(b) + ld8(b + 8);
+}`)
+	const wild = testMemSize*3 + 0x101 // masks to 0x100 (word); wild+8 to 0x109 (byte)
+	for _, c := range constructors {
+		sfi := newProgWith(t, c.new, mod, mem.Config{Policy: mem.PolicySandbox}, nil, 0)
+		if _, tr := runMain(t, sfi, []uint32{wild, testMemSize + 8}); tr == nil || tr.Kind != mem.TrapOOBLoad {
+			t.Fatalf("%s: wild load without read protection: got %v, want OOB load", c.name, tr)
+		}
+		d := sfi.Memory().Data
+		if got := ldw(d, 0x100); got != 0x11223344 {
+			t.Fatalf("%s: masked st32 landed wrong: word at 0x100 = %#x", c.name, got)
+		}
+		if d[0x109] != 0x55 {
+			t.Fatalf("%s: masked st8 landed wrong: byte at 0x109 = %#x", c.name, d[0x109])
+		}
+		full := newProgWith(t, c.new, mod, mem.Config{Policy: mem.PolicySandbox, ReadProtect: true}, nil, 0)
+		v, tr := runMain(t, full, []uint32{wild, wild})
+		if tr != nil || v != 0x11223344+0x55 {
+			t.Fatalf("%s: read-protected wild loads: v=%#x trap=%v, want %#x", c.name, v, tr, 0x11223344+0x55)
+		}
+		if st := full.VerifyStats(); st.ProvenLoads != 0 || st.ProvenStores != 0 {
+			t.Fatalf("%s: masked accesses counted as proven: %+v", c.name, st)
+		}
 	}
 }
 
@@ -525,18 +570,25 @@ func TestRejectionAgreement(t *testing.T) {
 // TestArmedFaultPlanMatchesOptVM drives the fault-injection contract: an
 // armed plan counts policy-level accesses in program order and injects
 // at the scheduled index, identically to the reference engine — which
-// requires load-time disabling of both deferral and elision.
+// requires load-time disabling of both deferral and elision. Under the
+// sandbox policies the plan sees the unmasked address, before the mask.
 func TestArmedFaultPlanMatchesOptVM(t *testing.T) {
+	for _, pol := range aotPolicies {
+		t.Run(pol.name, func(t *testing.T) { armedFaultPlanMatches(t, pol.cfg) })
+	}
+}
+
+func armedFaultPlanMatches(t *testing.T, cfg mem.Config) {
 	src := `func main(a, b) {
 	var i = 0;
 	var s = 0;
 	while (i < 6) {
-		s = s + ld32((i % 1000) * 4);
+		s = s + ld32((i % 1000) * 4 + 8192);
 		st8(((i % 500) * 4) + 4096, s);
-		s = s + ld8(i + 64);
+		s = s + ld8(i + 8256);
 		i = i + 1;
 	}
-	st32(128, s);
+	st32(8320, s);
 	return s;
 }`
 	mod := compileGEL(t, src)
@@ -549,7 +601,7 @@ func TestArmedFaultPlanMatchesOptVM(t *testing.T) {
 	m := mem.New(testMemSize)
 	copy(m.Data, init)
 	m.Arm(counter)
-	p, err := New(mod, m, mem.Config{Policy: mem.PolicyChecked})
+	p, err := New(mod, m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +618,7 @@ func TestArmedFaultPlanMatchesOptVM(t *testing.T) {
 		copy(rm.Data, init)
 		rplan := &mem.FaultPlan{FailOn: n}
 		rm.Arm(rplan)
-		ref, err := vm.NewOpt(mod, rm, mem.Config{Policy: mem.PolicyChecked}, vm.OptConfig{})
+		ref, err := vm.NewOpt(mod, rm, cfg, vm.OptConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -576,7 +628,7 @@ func TestArmedFaultPlanMatchesOptVM(t *testing.T) {
 		copy(am.Data, init)
 		aplan := &mem.FaultPlan{FailOn: n}
 		am.Arm(aplan)
-		ap, err := New(mod, am, mem.Config{Policy: mem.PolicyChecked})
+		ap, err := New(mod, am, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

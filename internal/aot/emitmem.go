@@ -4,9 +4,14 @@ import (
 	"graftlab/internal/mem"
 )
 
-// Memory-access emitters. Three regimes, decided per access site at
+// Memory-access emitters. Four regimes, decided per access site at
 // translate time:
 //
+//   - masked: the sandbox policy confines stores (and, with read
+//     protection, loads) by AND-ing the address into the region —
+//     a&mask&^3 for words, a&mask for bytes — exactly the VM's
+//     arithmetic. A masked access cannot fault and is never elided:
+//     the mask is the Omniware cost the class exists to measure.
 //   - proven: the interval analysis bounded the address inside the
 //     memory (and above the NIL page when the policy checks it), so the
 //     closure performs the raw access with no policy branch at all —
@@ -16,8 +21,8 @@ import (
 //     page first when configured, then the 64-bit-safe bounds test),
 //     raising the same trap kind/addr/pc the VM engines raise.
 //   - armed: a fault plan is attached, so every access runs the
-//     fault check before its policy check, uncounted accesses being a
-//     conformance violation. Armed memories also disable deferral and
+//     fault check on the unmasked address before its policy check or
+//     mask, uncounted accesses being a conformance violation. Armed memories also disable deferral and
 //     elision entirely (see translate.go), mirroring the optimizing
 //     VM's load-time NoFuse downgrade.
 
@@ -50,10 +55,13 @@ func (t *tr) ld32(a sval, pc int) sval {
 	t.p.stats.Loads++
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
-		ae, faults, nilck := t.toExpr(a), t.faults, t.nilCheck
+		ae, faults, nilck, masked, wmask := t.toExpr(a), t.faults, t.nilCheck, t.maskLd, t.mask&^3
 		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
 			ad := ae(r)
 			faultCheck(faults, false, ad, pc)
+			if masked {
+				return ldw(data, ad&wmask)
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -62,6 +70,20 @@ func (t *tr) ld32(a sval, pc int) sval {
 			}
 			return ldw(data, ad)
 		}}
+	}
+	if t.maskLd {
+		wmask := t.mask &^ 3
+		switch a.k {
+		case kConst:
+			c := a.c & wmask
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return ldw(data, c) }}
+		case kReg:
+			i := a.reg
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return ldw(data, r[i]&wmask) }}
+		default:
+			ae := a.e
+			return sval{k: kExpr, traps: a.traps, e: func(r []uint32) uint32 { return ldw(data, ae(r)&wmask) }}
+		}
 	}
 	if t.proven(pc, 4) {
 		t.p.stats.ProvenLoads++
@@ -125,10 +147,13 @@ func (t *tr) ld8(a sval, pc int) sval {
 	t.p.stats.Loads++
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
-		ae, faults, nilck := t.toExpr(a), t.faults, t.nilCheck
+		ae, faults, nilck, masked, mask := t.toExpr(a), t.faults, t.nilCheck, t.maskLd, t.mask
 		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
 			ad := ae(r)
 			faultCheck(faults, false, ad, pc)
+			if masked {
+				return uint32(data[ad&mask])
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -137,6 +162,20 @@ func (t *tr) ld8(a sval, pc int) sval {
 			}
 			return uint32(data[ad])
 		}}
+	}
+	if t.maskLd {
+		mask := t.mask
+		switch a.k {
+		case kConst:
+			c := a.c & mask
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return uint32(data[c]) }}
+		case kReg:
+			i := a.reg
+			return sval{k: kExpr, e: func(r []uint32) uint32 { return uint32(data[r[i]&mask]) }}
+		default:
+			ae := a.e
+			return sval{k: kExpr, traps: a.traps, e: func(r []uint32) uint32 { return uint32(data[ae(r)&mask]) }}
+		}
 	}
 	if t.proven(pc, 1) {
 		t.p.stats.ProvenLoads++
@@ -194,11 +233,15 @@ func (t *tr) st32(a, v sval, pc int) stmtFn {
 	t.p.stats.Stores++
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
-		ae, ve, faults, nilck := t.toExpr(a), t.toExpr(v), t.faults, t.nilCheck
+		ae, ve, faults, nilck, masked, wmask := t.toExpr(a), t.toExpr(v), t.faults, t.nilCheck, t.maskSt, t.mask&^3
 		return func(r []uint32) {
 			ad := ae(r)
 			val := ve(r)
 			faultCheck(faults, true, ad, pc)
+			if masked {
+				stw(data, ad&wmask, val)
+				return
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -206,6 +249,26 @@ func (t *tr) st32(a, v sval, pc int) stmtFn {
 				throwAt(mem.TrapOOBStore, ad, pc)
 			}
 			stw(data, ad, val)
+		}
+	}
+	if t.maskSt {
+		wmask := t.mask &^ 3
+		switch {
+		case a.k == kReg && v.k == kReg:
+			ai, vi := a.reg, v.reg
+			return func(r []uint32) { stw(data, r[ai]&wmask, r[vi]) }
+		case a.k == kReg:
+			ai, ve := a.reg, t.toExpr(v)
+			return func(r []uint32) { stw(data, r[ai]&wmask, ve(r)) }
+		case a.k == kConst:
+			c, ve := a.c&wmask, t.toExpr(v)
+			return func(r []uint32) { stw(data, c, ve(r)) }
+		default:
+			ae, ve := a.e, t.toExpr(v)
+			return func(r []uint32) {
+				ad := ae(r)
+				stw(data, ad&wmask, ve(r))
+			}
 		}
 	}
 	if t.proven(pc, 4) {
@@ -283,11 +346,15 @@ func (t *tr) st8(a, v sval, pc int) stmtFn {
 	t.p.stats.Stores++
 	data, dlen := t.data, t.dlen
 	if t.faults != nil {
-		ae, ve, faults, nilck := t.toExpr(a), t.toExpr(v), t.faults, t.nilCheck
+		ae, ve, faults, nilck, masked, mask := t.toExpr(a), t.toExpr(v), t.faults, t.nilCheck, t.maskSt, t.mask
 		return func(r []uint32) {
 			ad := ae(r)
 			val := ve(r)
 			faultCheck(faults, true, ad, pc)
+			if masked {
+				data[ad&mask] = byte(val)
+				return
+			}
 			if nilck && ad < mem.NilPageSize {
 				throwAt(mem.TrapNilDeref, ad, pc)
 			}
@@ -295,6 +362,23 @@ func (t *tr) st8(a, v sval, pc int) stmtFn {
 				throwAt(mem.TrapOOBStore, ad, pc)
 			}
 			data[ad] = byte(val)
+		}
+	}
+	if t.maskSt {
+		mask := t.mask
+		switch {
+		case a.k == kReg && v.k == kReg:
+			ai, vi := a.reg, v.reg
+			return func(r []uint32) { data[r[ai]&mask] = byte(r[vi]) }
+		case a.k == kReg:
+			ai, ve := a.reg, t.toExpr(v)
+			return func(r []uint32) { data[r[ai]&mask] = byte(ve(r)) }
+		default:
+			ae, ve := t.toExpr(a), t.toExpr(v)
+			return func(r []uint32) {
+				ad := ae(r)
+				data[ad&mask] = byte(ve(r))
+			}
 		}
 	}
 	if t.proven(pc, 1) {

@@ -10,7 +10,8 @@ package aot
 //     otherwise (one taxonomy, not two);
 //   - execution agreement: for every accepted module, the translated
 //     program's result, trap kind/addr/code, memory image, and fuel
-//     accounting equal vm.OptVM's under each supported policy.
+//     accounting equal vm.OptVM's under each supported policy (sandbox
+//     masking included), through both New and NewUnproven.
 //
 // Fuel is kept small (2048) so runaway loops the verifier legitimately
 // accepts terminate by exhaustion in both engines.
@@ -155,40 +156,42 @@ func FuzzVerify(f *testing.F) {
 			}
 			ref.Fuel = fuzzFuel
 			rv, rerr := ref.Invoke("main", a, b)
-
-			am := mem.New(fuzzMemSize)
-			fillPattern(am.Data)
-			p, err := New(mod, am, pol.cfg)
-			if err != nil {
-				t.Fatalf("verified module refused by aot (policy %s): %v", pol.name, err)
-			}
-			p.Fuel = fuzzFuel
-			av, aerr := p.Invoke("main", a, b)
-
 			rt, _ := rerr.(*mem.Trap)
-			at, _ := aerr.(*mem.Trap)
-			label := fmt.Sprintf("policy %s args (%d,%d)", pol.name, a, b)
-			switch {
-			case rt == nil && at == nil:
-				if rv != av {
-					t.Fatalf("%s: value ref=%d aot=%d\n%s", label, rv, av, dumpFunc(body))
+
+			for _, c := range constructors {
+				am := mem.New(fuzzMemSize)
+				fillPattern(am.Data)
+				p, err := c.new(mod, am, pol.cfg)
+				if err != nil {
+					t.Fatalf("verified module refused by aot (policy %s, %s): %v", pol.name, c.name, err)
 				}
-			case rt == nil || at == nil:
-				t.Fatalf("%s: trap ref=%v aot=%v\n%s", label, rerr, aerr, dumpFunc(body))
-			case rt.Kind == mem.TrapFuel || at.Kind == mem.TrapFuel:
-				if rt.Kind != at.Kind {
-					t.Fatalf("%s: fuel divergence ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+				p.Fuel = fuzzFuel
+				av, aerr := p.Invoke("main", a, b)
+
+				at, _ := aerr.(*mem.Trap)
+				label := fmt.Sprintf("policy %s %s args (%d,%d)", pol.name, c.name, a, b)
+				switch {
+				case rt == nil && at == nil:
+					if rv != av {
+						t.Fatalf("%s: value ref=%d aot=%d\n%s", label, rv, av, dumpFunc(body))
+					}
+				case rt == nil || at == nil:
+					t.Fatalf("%s: trap ref=%v aot=%v\n%s", label, rerr, aerr, dumpFunc(body))
+				case rt.Kind == mem.TrapFuel || at.Kind == mem.TrapFuel:
+					if rt.Kind != at.Kind {
+						t.Fatalf("%s: fuel divergence ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+					}
+				default:
+					if rt.Kind != at.Kind || rt.PC != at.PC || rt.Addr != at.Addr || rt.Code != at.Code {
+						t.Fatalf("%s: trap mismatch ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+					}
 				}
-			default:
-				if rt.Kind != at.Kind || rt.PC != at.PC || rt.Addr != at.Addr || rt.Code != at.Code {
-					t.Fatalf("%s: trap mismatch ref=%v aot=%v\n%s", label, rt, at, dumpFunc(body))
+				if string(rm.Data) != string(am.Data) {
+					t.Fatalf("%s: memory diverges\n%s", label, dumpFunc(body))
 				}
-			}
-			if string(rm.Data) != string(am.Data) {
-				t.Fatalf("%s: memory diverges\n%s", label, dumpFunc(body))
-			}
-			if ref.FuelUsed() != p.FuelUsed() {
-				t.Fatalf("%s: FuelUsed ref=%d aot=%d\n%s", label, ref.FuelUsed(), p.FuelUsed(), dumpFunc(body))
+				if ref.FuelUsed() != p.FuelUsed() {
+					t.Fatalf("%s: FuelUsed ref=%d aot=%d\n%s", label, ref.FuelUsed(), p.FuelUsed(), dumpFunc(body))
+				}
 			}
 		}
 	})

@@ -84,6 +84,9 @@ type tr struct {
 	dlen     uint64
 	memSize  uint32
 	nilCheck bool
+	maskSt   bool   // sandbox: stores are masked into the region
+	maskLd   bool   // sandbox with read protection: loads are masked too
+	mask     uint32 // the memory's sandbox mask (size-1)
 	faults   *mem.FaultPlan
 	eager    bool
 	acc      map[int]ival // per-access address intervals; nil = prove nothing
@@ -279,7 +282,7 @@ func (t *tr) callStmt(in bytecode.Instr) {
 }
 
 // translateFunc lowers one verified function into its block closures.
-func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, m *mem.Memory, cfg mem.Config) (afunc, error) {
+func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, m *mem.Memory, cfg mem.Config, prove bool) (afunc, error) {
 	depths, err := bytecode.StackDepths(mod, f)
 	if err != nil {
 		// Unreachable after Verify — StackDepths IS the verifier's pass —
@@ -297,11 +300,14 @@ func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, m *mem.Memor
 		dlen:     uint64(len(m.Data)),
 		memSize:  uint32(len(m.Data)),
 		nilCheck: cfg.Policy == mem.PolicyChecked && cfg.NilCheck,
+		maskSt:   cfg.Policy == mem.PolicySandbox,
+		maskLd:   cfg.Policy == mem.PolicySandbox && cfg.ReadProtect,
+		mask:     m.Mask(),
 		faults:   m.Faults(),
 		nlocals:  f.NLocals,
 	}
 	t.eager = t.faults != nil
-	if !t.eager {
+	if prove && !t.eager {
 		_, t.acc = analyzeFunc(mod, f, depths, leaders, t.memSize)
 	}
 

@@ -142,14 +142,15 @@ func engineByName(t *testing.T, name string) engineDef {
 }
 
 // TestFuelCliffs probes randomized fuel budgets on every engine. Fuel
-// units are a per-class quantity (instructions for the VMs, loop
-// iterations and calls for native code, commands for the script
-// interpreter), so the cross-engine property is not a shared threshold
-// but a shared *shape*: each engine has a single cliff — every budget
-// below it fuel-traps, every budget at or above it completes with the
-// unmetered result — and the two bytecode engines, which meter the same
-// instruction stream, must put the cliff in exactly the same place
-// (PR 1's block-granular metering preserves the completion threshold).
+// units are a per-class quantity (bytecode instructions for the VMs and
+// for the closure classes, which charge them per basic block; commands
+// for the script interpreter), so the cross-engine property is a shared
+// *shape*: each engine has a single cliff — every budget below it
+// fuel-traps, every budget at or above it completes with the unmetered
+// result. Every engine that meters the bytecode instruction stream —
+// both VMs, AOT, the runtime-codegen and SFI rows, and the upcall
+// wrapper around native-safe — must put the cliff in exactly the same
+// place: block-granular metering preserves the completion threshold.
 func TestFuelCliffs(t *testing.T) {
 	markFaultClass("fuel-cliff")
 	seed := suiteSeed(74, 3)
@@ -212,12 +213,18 @@ func TestFuelCliffs(t *testing.T) {
 			if a, b := thresholds["bytecode-opt"], thresholds["bytecode-baseline"]; a != b {
 				t.Fatalf("bytecode fuel cliffs diverge: opt=%d baseline=%d", a, b)
 			}
-			// The AOT translation meters the same verified instruction
-			// stream from the same block CFG, so its cliff must be the
-			// bytecode engines' cliff exactly — bounds-check elision is
-			// not allowed to move the preemption threshold.
-			if a, b := thresholds["aot"], thresholds["bytecode-opt"]; a != b {
-				t.Fatalf("aot fuel cliff diverges from bytecode: aot=%d opt=%d", a, b)
+			// The closure classes meter the same verified instruction
+			// stream from the same block CFG, so their cliff must be the
+			// bytecode engines' cliff exactly — neither bounds-check
+			// elision nor a policy's checks or masks may move the
+			// preemption threshold.
+			for _, e := range engineMatrix {
+				if e.id == tech.Bytecode || e.id == tech.Script {
+					continue
+				}
+				if a, b := thresholds[e.name], thresholds["bytecode-opt"]; a != b {
+					t.Fatalf("%s fuel cliff diverges from bytecode: %s=%d opt=%d", e.name, e.name, a, b)
+				}
 			}
 		})
 	}

@@ -5,19 +5,25 @@
 //
 //	ID            paper technology            implementation
 //	------------  --------------------------  -------------------------------
-//	NativeUnsafe  C linked into the kernel    native codegen, PolicyUnsafe
-//	NativeSafe    Modula-3 (Solaris/Alpha)    native codegen, PolicyChecked
-//	NativeSafeNil Modula-3 (Linux, explicit   native codegen, PolicyChecked
+//	NativeUnsafe  C linked into the kernel    bytecode lowered to closures,
+//	                                          nothing proved, PolicyUnsafe
+//	NativeSafe    Modula-3 (Solaris/Alpha)    same lowering, PolicyChecked
+//	NativeSafeNil Modula-3 (Linux, explicit   same lowering, PolicyChecked
 //	              NIL checks, §5.4)           + NilCheck
-//	SFI           Omniware beta (write/jump   native codegen, PolicySandbox
+//	SFI           Omniware beta (write/jump   same lowering, PolicySandbox
 //	              sandboxing, no read prot.)
-//	SFIFull       "SFI with full protection"  native codegen, PolicySandbox
+//	SFIFull       "SFI with full protection"  same lowering, PolicySandbox
 //	              (§6 future candidate)       + ReadProtect
 //	Bytecode      Java (Alpha 3 interpreter)  compile to bytecode, verify, vm
 //	Script        Tcl 3.7                     mini-Tcl source interpreter
 //	AOT           eBPF-style verified native  bytecode verified + interval-
 //	              (post-paper practice)       proved, lowered to closures
 //
+// The five runtime-codegen rows and AOT share one closure backend,
+// internal/aot: aot.NewUnproven keeps a check (or mask) per access,
+// which is the cost model those rows measure; aot.New elides the
+// checks its interval analysis proves. native.Compile is the same
+// unproven lowering for callers holding a checked GEL program.
 // The user-level-server technology is not a loader but a wrapper; see
 // package upcall.
 package tech
@@ -30,7 +36,6 @@ import (
 	"graftlab/internal/gel"
 	"graftlab/internal/hipec"
 	"graftlab/internal/mem"
-	"graftlab/internal/native"
 	"graftlab/internal/script"
 	"graftlab/internal/telemetry"
 	"graftlab/internal/vm"
@@ -96,10 +101,11 @@ const (
 	CompiledSFI     ID = "compiled-sfi"
 	CompiledSFIFull ID = "compiled-sfi-full"
 
-	// The runtime-codegen class: GEL lowered to closure-threaded Go
-	// closures at load time — the paper's "flexible line between
-	// generating native code at load time and dynamically generating
-	// native code from interpreted code" (§4.3).
+	// The runtime-codegen class: GEL lowered through bytecode to
+	// closure-threaded Go at load time with every access checked or
+	// masked — the paper's "flexible line between generating native code
+	// at load time and dynamically generating native code from
+	// interpreted code" (§4.3).
 	NativeUnsafe  ID = "native-unsafe"
 	NativeSafe    ID = "native-safe"
 	NativeSafeNil ID = "native-safe-nil"
@@ -233,9 +239,9 @@ func ParseVMMode(s string) (VMMode, error) {
 
 // Options tune a load.
 type Options struct {
-	// Fuel is the per-invocation execution budget (instructions for the
-	// VM, loop iterations and calls for native code, commands for the
-	// script interpreter). 0 disables metering.
+	// Fuel is the per-invocation execution budget (bytecode instructions
+	// for the VMs and the closure classes, which charge them per basic
+	// block; commands for the script interpreter). 0 disables metering.
 	Fuel int64
 	// VM selects the bytecode engine ("" = VMOpt). Behaviour is
 	// equivalent (differentially tested); only speed differs.
@@ -364,30 +370,26 @@ func prepare(id ID, src Source, opts Options) (func(m *mem.Memory) (Graft, error
 		}, nil
 	}
 
-	// The remaining classes all start from checked GEL.
+	// The remaining classes all run the checked GEL's bytecode module.
 	prog, err := gel.ParseAndCheck(src.GEL)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	switch id {
-	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull:
-		return func(m *mem.Memory) (Graft, error) {
-			np, err := native.Compile(prog, m, cfg)
-			if err != nil {
-				return nil, wrapErr(err)
-			}
-			np.Fuel = opts.Fuel
-			return np, nil
-		}, nil
-	}
-	// Bytecode and AOT also share the compiled module.
 	mod, err := compile.Compile(prog)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	if id == AOT {
+	// The closure classes share aot's translator; the ID alone decides
+	// whether it proves accesses (AOT) or keeps every check and mask
+	// (runtime codegen, the lowering native.Compile performs).
+	translate := aot.New
+	switch id {
+	case NativeUnsafe, NativeSafe, NativeSafeNil, SFI, SFIFull:
+		translate = aot.NewUnproven
+		fallthrough
+	case AOT:
 		return func(m *mem.Memory) (Graft, error) {
-			p, err := aot.New(mod, m, cfg)
+			p, err := translate(mod, m, cfg)
 			if err != nil {
 				return nil, wrapErr(err)
 			}
