@@ -5,10 +5,20 @@
 //
 //	graftvm -tech native-unsafe -entry main graft.gel 1 2 3
 //	graftvm -tech bytecode -fuel 1000000 graft.gel
+//	graftvm -tech bytecode -vm=baseline graft.gel 1 2 3
+//	graftvm -tech script graft.tcl 1 2 3
 //	graftvm -list
 //
 // Arguments after the source file are u32 values passed to the entry
-// point. The result and any trap are printed.
+// point. The result and any trap are printed. Under -tech script the
+// file is Tcl, under -tech domain HiPEC assembler.
+//
+// To check an engine's answer, compare it with the reference
+// interpreter (-tech bytecode -vm=baseline, the conformance oracle's
+// reference) and with -tech script on a Tcl rendering of the graft,
+// which shares no code with the bytecode pipeline. The native-*, sfi*
+// and aot technologies all run aot's closure backend, so agreement
+// among them alone shows little.
 package main
 
 import (

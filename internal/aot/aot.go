@@ -11,9 +11,9 @@
 //     refinement, and proves individual memory accesses in-bounds
 //     against the declared policy and the bound linear memory's size.
 //
-//  2. Translate. Verified bytecode is lowered into the closure-threaded
-//     execution form internal/native emits — exprFn/stmtFn closures
-//     specialized at load time — with the operand stack dissolved into
+//  2. Translate. Verified bytecode is lowered into closure-threaded
+//     execution form — exprFn/stmtFn closures specialized at load
+//     time — with the operand stack dissolved into
 //     expression trees (a symbolic-stack pass, translate.go), constants
 //     and local reads inlined into their consumers, bounds checks
 //     elided where the proof holds (checked closures otherwise —
@@ -26,6 +26,12 @@
 // fuel accounting are differentially tested against vm.OptVM; an armed
 // fault plan disables deferral and elision at load time, exactly as it
 // disables fusion in the optimizing VM.
+//
+// The translator is the repo's one closure backend. NewUnproven runs
+// step 2 without step 1's interval analysis, so every access keeps its
+// policy's check or sandbox mask: that is the runtime-codegen classes'
+// cost model (internal/native), which this package serves alongside
+// its own.
 package aot
 
 import (
@@ -127,13 +133,21 @@ func NewUnproven(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*Prog, er
 }
 
 func build(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, prove bool) (*Prog, error) {
-	if err := bytecode.Verify(mod); err != nil {
-		return nil, err
+	// bytecode.Verify is StackDepths over every function in order; run
+	// it that way and keep the depths the translator needs, rather than
+	// running the verifier's pass twice per function.
+	depths := make([][]int, len(mod.Funcs))
+	for i, f := range mod.Funcs {
+		d, err := bytecode.StackDepths(mod, f)
+		if err != nil {
+			return nil, err
+		}
+		depths[i] = d
 	}
 	p := &Prog{mod: mod, m: m}
 	p.fns = make([]afunc, len(mod.Funcs))
 	for i, f := range mod.Funcs {
-		af, err := translateFunc(p, mod, f, m, cfg, prove)
+		af, err := translateFunc(p, mod, f, depths[i], m, cfg, prove)
 		if err != nil {
 			return nil, err
 		}

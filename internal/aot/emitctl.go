@@ -35,11 +35,6 @@ func evalDiscard(e exprFn) stmtFn {
 	return func(r []uint32) { e(r) }
 }
 
-// staticTerm ends a block with an unconditional transfer.
-func staticTerm(next int32) func([]uint32) int32 {
-	return func([]uint32) int32 { return next }
-}
-
 // retTerm ends the function, leaving the result where Prog.call reads it.
 func retTerm(p *Prog, v sval) func([]uint32) int32 {
 	switch v.k {
@@ -383,9 +378,32 @@ func cmpEE(op bytecode.Op, x, y exprFn, taken, fall int32) func([]uint32) int32 
 }
 
 // makeBlock assembles a basic block's closure: charge fuel, run the
-// statements, run the terminator. Short statement chains are unrolled
-// so straight-line blocks pay no slice-iteration overhead.
-func makeBlock(p *Prog, bm *blockMeta, stmts []stmtFn, term func([]uint32) int32) blockFn {
+// statements, run the terminator — or, when term is nil, return the
+// static successor next inline, so loop back-edges and fallthroughs pay
+// no extra indirect call. Short statement chains are unrolled so
+// straight-line blocks pay no slice-iteration overhead.
+func makeBlock(p *Prog, bm *blockMeta, stmts []stmtFn, term func([]uint32) int32, next int32) blockFn {
+	if term == nil {
+		switch len(stmts) {
+		case 0:
+			return func(r []uint32) int32 { p.burn(bm); return next }
+		case 1:
+			s0 := stmts[0]
+			return func(r []uint32) int32 { p.burn(bm); s0(r); return next }
+		case 2:
+			s0, s1 := stmts[0], stmts[1]
+			return func(r []uint32) int32 { p.burn(bm); s0(r); s1(r); return next }
+		default:
+			ss := append([]stmtFn(nil), stmts...)
+			return func(r []uint32) int32 {
+				p.burn(bm)
+				for _, s := range ss {
+					s(r)
+				}
+				return next
+			}
+		}
+	}
 	switch len(stmts) {
 	case 0:
 		return func(r []uint32) int32 { p.burn(bm); return term(r) }

@@ -112,8 +112,8 @@ func (t *tr) ld32(a sval, pc int) sval {
 			return ldw(data, ad)
 		}}
 	}
-	switch a.k {
-	case kConst:
+	switch {
+	case a.k == kConst:
 		c := a.c
 		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
 			if uint64(c)+4 > dlen {
@@ -121,10 +121,19 @@ func (t *tr) ld32(a sval, pc int) sval {
 			}
 			return ldw(data, c)
 		}}
-	case kReg:
+	case a.k == kReg:
 		i := a.reg
 		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
 			ad := r[i]
+			if uint64(ad)+4 > dlen {
+				throwAt(mem.TrapOOBLoad, ad, pc)
+			}
+			return ldw(data, ad)
+		}}
+	case a.isOff:
+		i, c := a.offR, a.offC
+		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
+			ad := r[i] + c
 			if uint64(ad)+4 > dlen {
 				throwAt(mem.TrapOOBLoad, ad, pc)
 			}
@@ -204,11 +213,20 @@ func (t *tr) ld8(a sval, pc int) sval {
 			return uint32(data[ad])
 		}}
 	}
-	switch a.k {
-	case kReg:
+	switch {
+	case a.k == kReg:
 		i := a.reg
 		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
 			ad := r[i]
+			if uint64(ad) >= dlen {
+				throwAt(mem.TrapOOBLoad, ad, pc)
+			}
+			return uint32(data[ad])
+		}}
+	case a.isOff:
+		i, c := a.offR, a.offC
+		return sval{k: kExpr, traps: true, e: func(r []uint32) uint32 {
+			ad := r[i] + c
 			if uint64(ad) >= dlen {
 				throwAt(mem.TrapOOBLoad, ad, pc)
 			}

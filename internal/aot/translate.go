@@ -73,6 +73,12 @@ type sval struct {
 	isCmp  bool
 	cop    bytecode.Op
 	cx, cy *sval
+	// Register-plus-constant provenance, kept so a checked load at a
+	// field offset (`ld32(n + 4)`) reads the register directly instead
+	// of calling the add tree.
+	isOff bool
+	offR  int
+	offC  uint32
 }
 
 // tr is the per-function translation state; stk/stmts reset per block.
@@ -197,6 +203,9 @@ func (t *tr) binop(op bytecode.Op, pc int) {
 		k: kExpr, e: e,
 		traps: x.traps || y.traps || (trapping && !(y.k == kConst && y.c != 0)),
 	}
+	if op == bytecode.OpAdd && x.k == kReg && y.k == kConst {
+		nv.isOff, nv.offR, nv.offC = true, x.reg, y.c
+	}
 	if isCmpOp(op) {
 		xcp, ycp := x, y
 		nv.isCmp, nv.cop, nv.cx, nv.cy = true, op, &xcp, &ycp
@@ -281,14 +290,9 @@ func (t *tr) callStmt(in bytecode.Instr) {
 	t.push(sval{k: kReg, reg: dst})
 }
 
-// translateFunc lowers one verified function into its block closures.
-func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, m *mem.Memory, cfg mem.Config, prove bool) (afunc, error) {
-	depths, err := bytecode.StackDepths(mod, f)
-	if err != nil {
-		// Unreachable after Verify — StackDepths IS the verifier's pass —
-		// but kept as a real error so the taxonomies can never drift.
-		return afunc{}, err
-	}
+// translateFunc lowers one verified function, given the verifier's
+// per-pc stack depths, into its block closures.
+func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, depths []int, m *mem.Memory, cfg mem.Config, prove bool) (afunc, error) {
 	leaders := bytecode.Leaders(f)
 	costs := bytecode.BlockCosts(f, leaders)
 
@@ -348,18 +352,19 @@ func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, m *mem.Memor
 			name: f.Name,
 			line: f.Line(lpc),
 		}
-		term, err := t.translateBlock(lpc, depths[lpc], leaders, blockIdx)
+		term, next, err := t.translateBlock(lpc, depths[lpc], leaders, blockIdx)
 		if err != nil {
 			return afunc{}, err
 		}
-		af.blocks[bi] = makeBlock(p, bm, t.stmts, term)
+		af.blocks[bi] = makeBlock(p, bm, t.stmts, term, next)
 	}
 	return af, nil
 }
 
 // translateBlock walks one basic block, filling t.stmts and returning
-// the terminator.
-func (t *tr) translateBlock(leader, depth0 int, leaders []bool, blockIdx []int32) (func([]uint32) int32, error) {
+// the terminator, or a nil terminator and the static successor when the
+// block ends in an unconditional transfer.
+func (t *tr) translateBlock(leader, depth0 int, leaders []bool, blockIdx []int32) (func([]uint32) int32, int32, error) {
 	t.stmts = nil
 	t.stk = t.stk[:0]
 	for i := 0; i < depth0; i++ {
@@ -370,7 +375,7 @@ func (t *tr) translateBlock(leader, depth0 int, leaders []bool, blockIdx []int32
 		if pc != leader && leaders[pc] {
 			// Fall through into the next block.
 			t.spillBoundary()
-			return staticTerm(blockIdx[pc]), nil
+			return nil, blockIdx[pc], nil
 		}
 		in := f.Code[pc]
 		switch in.Op {
@@ -413,7 +418,7 @@ func (t *tr) translateBlock(leader, depth0 int, leaders []bool, blockIdx []int32
 			t.callStmt(in)
 		case bytecode.OpJmp:
 			t.spillBoundary()
-			return staticTerm(blockIdx[in.A]), nil
+			return nil, blockIdx[in.A], nil
 		case bytecode.OpJz, bytecode.OpJnz:
 			cond := t.pop()
 			t.spillBoundary()
@@ -421,11 +426,11 @@ func (t *tr) translateBlock(leader, depth0 int, leaders []bool, blockIdx []int32
 			taken, fall := blockIdx[in.A], blockIdx[pc+1]
 			if cond.k == kConst {
 				if (cond.c != 0) == needTrue {
-					return staticTerm(taken), nil
+					return nil, taken, nil
 				}
-				return staticTerm(fall), nil
+				return nil, fall, nil
 			}
-			return t.condTerm(cond, needTrue, taken, fall), nil
+			return t.condTerm(cond, needTrue, taken, fall), 0, nil
 		case bytecode.OpRet:
 			v := t.pop()
 			for i := range t.stk {
@@ -433,7 +438,7 @@ func (t *tr) translateBlock(leader, depth0 int, leaders []bool, blockIdx []int32
 					t.stmts = append(t.stmts, evalDiscard(t.stk[i].e))
 				}
 			}
-			return retTerm(t.p, v), nil
+			return retTerm(t.p, v), 0, nil
 		case bytecode.OpAbort:
 			v := t.pop()
 			for i := range t.stk {
@@ -441,10 +446,10 @@ func (t *tr) translateBlock(leader, depth0 int, leaders []bool, blockIdx []int32
 					t.stmts = append(t.stmts, evalDiscard(t.stk[i].e))
 				}
 			}
-			return abortTerm(v, pc), nil
+			return abortTerm(v, pc), 0, nil
 		default:
 			if !isBinOp(in.Op) {
-				return nil, fmt.Errorf("aot: %s+%d: untranslatable opcode %s", f.Name, pc, in.Op)
+				return nil, 0, fmt.Errorf("aot: %s+%d: untranslatable opcode %s", f.Name, pc, in.Op)
 			}
 			t.binop(in.Op, pc)
 		}

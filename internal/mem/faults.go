@@ -15,7 +15,7 @@
 // Arming is a load-time decision, like telemetry instrumentation: engines
 // read Memory.Faults() when they compile/translate/interpret, so a memory
 // that was never armed pays at most a nil pointer test per access (the
-// codegen class pays nothing — it specializes the closure at compile
+// closure classes pay nothing — they specialize their closures at load
 // time). Arm must therefore be called before tech.Load.
 package mem
 

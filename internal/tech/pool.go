@@ -11,13 +11,13 @@ import (
 
 // Pool hands out reusable graft instances so one loaded extension can be
 // invoked from many goroutines at once. Every engine in the registry
-// keeps per-invocation state (VM frames, the codegen locals arena, the
-// script interpreter's variable stack), so a single Graft is safe for
-// one goroutine at a time; the pool is the concurrency layer on top:
-// each instance owns a private linear memory and a private engine, and
-// the load-time artifacts that ARE immutable — the parsed GEL program,
-// the verified bytecode module, the assembled HiPEC programs — are
-// prepared once and shared by every instance. This mirrors how
+// keeps per-invocation state (VM frames, the closure backend's register
+// arena, the script interpreter's variable stack), so a single Graft is
+// safe for one goroutine at a time; the pool is the concurrency layer on
+// top: each instance owns a private linear memory and a private engine,
+// and the load-time artifacts that ARE immutable — the parsed GEL
+// program, the verified bytecode module, the assembled HiPEC programs —
+// are prepared once and shared by every instance. This mirrors how
 // production extension runtimes go multicore: eBPF runs the same
 // verified program on every CPU with per-CPU maps for the mutable
 // state; here the per-CPU state is the instance.

@@ -280,10 +280,11 @@ func Load(id ID, src Source, m *mem.Memory, opts Options) (Graft, error) {
 }
 
 // ProfileSetter is the optional engine interface the sampling profiler
-// wires through: both bytecode engines and the script interpreter
-// implement it (the only classes with a fuel-granular execution loop to
-// piggyback on; the compiled and codegen classes run native Go and are
-// profiled by the host profiler instead).
+// wires through: both bytecode engines, the closure backend (AOT and the
+// runtime-codegen classes) and the script interpreter implement it (the
+// classes with a fuel-granular execution loop to piggyback on; the
+// compiled classes run hand-written Go and are profiled by the host
+// profiler instead).
 type ProfileSetter interface {
 	SetProfile(s *telemetry.ProfScope, every int64)
 }
