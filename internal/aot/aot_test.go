@@ -414,6 +414,59 @@ func TestSandboxMasksAccesses(t *testing.T) {
 		if st := full.VerifyStats(); st.ProvenLoads != 0 || st.ProvenStores != 0 {
 			t.Fatalf("%s: masked accesses counted as proven: %+v", c.name, st)
 		}
+		// An armed plan sees the address before the mask.
+		m := mem.New(testMemSize)
+		m.Arm(&mem.FaultPlan{FailOn: 1})
+		armed, err := c.new(mod, m, mem.Config{Policy: mem.PolicySandbox})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, tr := runMain(t, armed, []uint32{wild, 0}); tr == nil || tr.Addr != wild {
+			t.Fatalf("%s: injected fault on a masked store: %v, want address %#x", c.name, tr, uint32(wild))
+		}
+	}
+}
+
+// TestFieldOffsetLoadsAgree pins the register-plus-constant load shape
+// (`ld32(n + 4)`, a list walk's next field) against the reference under
+// every policy and both constructors: the value of a walk that ends,
+// and the trap address of one whose last next field is read past the
+// end of memory.
+func TestFieldOffsetLoadsAgree(t *testing.T) {
+	src := `func main(a, b) {
+	var n = a;
+	var s = 0;
+	while (n != 0) {
+		s = s + ld32(n) + ld8(n + 2);
+		n = ld32(n + 4);
+	}
+	return s;
+}`
+	mod := compileGEL(t, src)
+	init := make([]byte, testMemSize)
+	const base = 0x2000
+	for i := uint32(0); i < 16; i++ {
+		a := base + 8*i
+		next := a + 8
+		if i == 15 {
+			next = 0
+		}
+		init[a], init[a+2] = byte(i+1), byte(3*i)
+		init[a+4], init[a+5] = byte(next), byte(next>>8)
+	}
+	init[testMemSize-4] = 9 // a node whose next field lies past the end
+	for _, pol := range aotPolicies {
+		for _, args := range [][]uint32{{base, 0}, {testMemSize - 4, 0}} {
+			ref := newRef(t, mod, pol.cfg, init, 0)
+			rv, rt := runMain(t, ref, args)
+			for _, c := range constructors {
+				p := newProgWith(t, c.new, mod, pol.cfg, init, 0)
+				av, at := runMain(t, p, args)
+				checkSameAsRef(t, fmt.Sprintf("policy %s %s args %v", pol.name, c.name, args), src,
+					rv, rt, ref.Memory().Data, ref.FuelUsed(),
+					av, at, p.Memory().Data, p.FuelUsed())
+			}
+		}
 	}
 }
 
