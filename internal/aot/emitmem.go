@@ -19,12 +19,15 @@ import (
 //     shape.
 //   - checked fallback: the interpreter's exact check sequence (NIL
 //     page first when configured, then the 64-bit-safe bounds test),
-//     raising the same trap kind/addr/pc the VM engines raise.
+//     raising the same trap kind/addr/pc the VM engines raise. Without
+//     the NIL check, a register-plus-constant address is computed in
+//     the load's own closure rather than by a separate add tree.
 //   - armed: a fault plan is attached, so every access runs the
 //     fault check on the unmasked address before its policy check or
-//     mask, uncounted accesses being a conformance violation. Armed memories also disable deferral and
-//     elision entirely (see translate.go), mirroring the optimizing
-//     VM's load-time NoFuse downgrade.
+//     mask, uncounted accesses being a conformance violation. Armed
+//     memories also disable deferral and elision entirely (see
+//     translate.go), mirroring the optimizing VM's load-time NoFuse
+//     downgrade.
 
 func faultCheck(f *mem.FaultPlan, store bool, addr uint32, pc int) {
 	if t := f.Check(store, addr); t != nil {
