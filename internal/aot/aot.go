@@ -133,16 +133,10 @@ func NewUnproven(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*Prog, er
 }
 
 func build(mod *bytecode.Module, m *mem.Memory, cfg mem.Config, prove bool) (*Prog, error) {
-	// bytecode.Verify is StackDepths over every function in order; run
-	// it that way and keep the depths the translator needs, rather than
-	// running the verifier's pass twice per function.
-	depths := make([][]int, len(mod.Funcs))
-	for i, f := range mod.Funcs {
-		d, err := bytecode.StackDepths(mod, f)
-		if err != nil {
-			return nil, err
-		}
-		depths[i] = d
+	// Verify once, keeping the depths the translator needs.
+	depths, err := bytecode.VerifyDepths(mod)
+	if err != nil {
+		return nil, err
 	}
 	p := &Prog{mod: mod, m: m}
 	p.fns = make([]afunc, len(mod.Funcs))

@@ -327,7 +327,7 @@ func translateFunc(p *Prog, mod *bytecode.Module, f *bytecode.Func, depths []int
 	af := afunc{
 		name:   f.Name,
 		nargs:  f.NArgs,
-		nregs:  f.NLocals + bytecode.MaxStack(mod, f),
+		nregs:  f.NLocals + bytecode.MaxStack(mod, f, depths),
 		blocks: make([]blockFn, nblocks),
 	}
 

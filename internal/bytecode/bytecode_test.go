@@ -258,20 +258,85 @@ func TestVerifyLinearTime(t *testing.T) {
 	}
 }
 
+// TestMaxStack pins MaxStack's one-pass maximum on functions with known
+// answers: straight-line code, branch arms of different depth meeting
+// at a join, a call that pops its callee's three arguments (counting
+// it as popping none would read 4), a zero-argument call whose result
+// is the peak (taking the opcode table's 0/0 for calls would read 2),
+// and a deep unreachable tail that must not count.
 func TestMaxStack(t *testing.T) {
-	m := mkModule(&Func{Name: "f", Code: []Instr{
-		{Op: OpConst, A: 1},
-		{Op: OpConst, A: 2},
-		{Op: OpConst, A: 3},
-		{Op: OpAdd},
-		{Op: OpAdd},
+	callee := &Func{Name: "three", NArgs: 3, NLocals: 3, Code: []Instr{
+		{Op: OpLocalGet, A: 0},
 		{Op: OpRet},
-	}})
-	if err := Verify(m); err != nil {
-		t.Fatal(err)
-	}
-	if got := MaxStack(m, m.Funcs[0]); got != 3 {
-		t.Fatalf("MaxStack = %d, want 3", got)
+	}}
+	for _, c := range []struct {
+		name string
+		code []Instr
+		want int
+	}{
+		{"straight", []Instr{
+			{Op: OpConst, A: 1},
+			{Op: OpConst, A: 2},
+			{Op: OpConst, A: 3},
+			{Op: OpAdd},
+			{Op: OpAdd},
+			{Op: OpRet},
+		}, 3},
+		{"branches-join", []Instr{
+			{Op: OpConst, A: 1}, // 0: depth 0 -> 1
+			{Op: OpJz, A: 6},    // 1: 1 -> 0
+			{Op: OpConst, A: 10},
+			{Op: OpConst, A: 20},
+			{Op: OpAdd},
+			{Op: OpJmp, A: 11}, // 5: arm A reaches the join at depth 1
+			{Op: OpConst, A: 1},
+			{Op: OpConst, A: 2},
+			{Op: OpConst, A: 3}, // 8: arm B peaks at 3
+			{Op: OpAdd},
+			{Op: OpAdd},         // 10: falls into the join at depth 1
+			{Op: OpConst, A: 4}, // 11: join
+			{Op: OpAdd},
+			{Op: OpRet},
+		}, 3},
+		{"call-arity", []Instr{
+			{Op: OpConst, A: 1},
+			{Op: OpConst, A: 2},
+			{Op: OpConst, A: 3},
+			{Op: OpCall, A: 1}, // pops three, pushes one
+			{Op: OpConst, A: 4},
+			{Op: OpAdd},
+			{Op: OpRet},
+		}, 3},
+		{"call-no-args", []Instr{
+			{Op: OpConst, A: 1},
+			{Op: OpConst, A: 2},
+			{Op: OpCall, A: 2}, // pops none, pushes one: the peak
+			{Op: OpAdd},
+			{Op: OpAdd},
+			{Op: OpRet},
+		}, 3},
+		{"dead-code", []Instr{
+			{Op: OpConst, A: 1},
+			{Op: OpRet},
+			{Op: OpConst, A: 1},
+			{Op: OpConst, A: 2},
+			{Op: OpConst, A: 3},
+			{Op: OpConst, A: 4},
+			{Op: OpConst, A: 5},
+			{Op: OpRet},
+		}, 1},
+	} {
+		m := mkModule(&Func{Name: "f", Code: c.code}, callee, mkFunc("seven"))
+		depths, err := VerifyDepths(m)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := MaxStack(m, m.Funcs[0], depths[0]); got != c.want {
+			t.Errorf("%s: MaxStack = %d, want %d", c.name, got, c.want)
+		}
+		if got := MaxStack(m, callee, depths[1]); got != 1 {
+			t.Errorf("%s: callee MaxStack = %d, want 1", c.name, got)
+		}
 	}
 }
 

@@ -37,24 +37,26 @@ const MaxStackDepth = 1 << 16
 
 // Verify checks every function in m.
 func Verify(m *Module) error {
-	for _, f := range m.Funcs {
-		if _, err := verifyFunc(m, f); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := VerifyDepths(m)
+	return err
 }
 
-// StackDepths runs the verifier's abstract interpretation over f and
-// returns the operand stack depth on entry to every instruction; entries
-// for unreachable code are -1. It is the exact pass Verify runs per
-// function — an error here is a verification failure and vice versa — so
-// downstream load-time passes that need per-pc depths (the AOT
-// translator's block reconstruction) accept and reject precisely the
-// modules Verify does, by construction rather than by parallel
-// re-implementation.
-func StackDepths(m *Module, f *Func) ([]int, error) {
-	return verifyFunc(m, f)
+// VerifyDepths is Verify keeping what it computes: for every function
+// of m, in order, the operand stack depth on entry to each instruction
+// (-1 for unreachable code). The load-time translators that need
+// per-pc depths (MaxStack, the AOT block reconstruction) take them from
+// here, so they accept and reject precisely the modules Verify does, by
+// construction, and never run the verifier's pass a second time.
+func VerifyDepths(m *Module) ([][]int, error) {
+	depths := make([][]int, len(m.Funcs))
+	for i, f := range m.Funcs {
+		d, err := verifyFunc(m, f)
+		if err != nil {
+			return nil, err
+		}
+		depths[i] = d
+	}
+	return depths, nil
 }
 
 func verifyFunc(m *Module, f *Func) ([]int, error) {
@@ -123,26 +125,11 @@ func verifyFunc(m *Module, f *Func) ([]int, error) {
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
+		// The static pass above validated every operand, so the depth
+		// pass only tracks the stack.
 		in := f.Code[pc]
-		if !in.Op.Valid() {
-			return nil, vErrf(f.Name, pc, "undefined opcode %d", byte(in.Op))
-		}
 		d := depth[pc]
-		info := opTable[in.Op]
-
-		pop, push := info.pop, info.push
-		switch in.Op {
-		case OpLocalGet, OpLocalSet:
-			if in.A >= uint32(f.NLocals) {
-				return nil, vErrf(f.Name, pc, "local slot %d out of range [0,%d)", in.A, f.NLocals)
-			}
-		case OpCall:
-			if in.A >= uint32(len(m.Funcs)) {
-				return nil, vErrf(f.Name, pc, "call to undefined function index %d", in.A)
-			}
-			pop = m.Funcs[in.A].NArgs
-			push = 1
-		}
+		pop, push := stackEffect(m, in)
 		if d < pop {
 			return nil, vErrf(f.Name, pc, "stack underflow: %s needs %d, depth is %d", in.Op, pop, d)
 		}
@@ -180,58 +167,28 @@ func verifyFunc(m *Module, f *Func) ([]int, error) {
 	return depth, nil
 }
 
-// MaxStack computes the maximum operand stack depth any reachable point of
-// f needs, for preallocating interpreter stacks. Requires a verified
-// function; returns 0 for unverifiable code.
-func MaxStack(m *Module, f *Func) int {
-	// Re-run the same abstract interpretation, tracking the max.
-	depth := make([]int, len(f.Code))
-	for i := range depth {
-		depth[i] = -1
+// stackEffect reports how many operands in pops and pushes: the opcode
+// table's figures, with OpCall popping its callee's arity.
+func stackEffect(m *Module, in Instr) (pop, push int) {
+	if in.Op == OpCall {
+		return m.Funcs[in.A].NArgs, 1
 	}
-	if len(f.Code) == 0 {
-		return 0
-	}
-	depth[0] = 0
-	work := []int{0}
+	return opTable[in.Op].pop, opTable[in.Op].push
+}
+
+// MaxStack reports the deepest operand stack any reachable instruction
+// of f needs, for preallocating interpreter stacks and register files.
+// depth is what VerifyDepths returned for f: the maximum is
+// depth[pc] - pop + push over the reachable pcs, one pass over the code
+// rather than a second abstract interpretation.
+func MaxStack(m *Module, f *Func, depth []int) int {
 	maxd := 0
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		in := f.Code[pc]
-		if !in.Op.Valid() {
-			return 0
+	for pc, d := range depth {
+		if d < 0 {
+			continue // unreachable
 		}
-		d := depth[pc]
-		info := opTable[in.Op]
-		pop, push := info.pop, info.push
-		if in.Op == OpCall {
-			if in.A >= uint32(len(m.Funcs)) {
-				return 0
-			}
-			pop = m.Funcs[in.A].NArgs
-			push = 1
-		}
-		nd := d - pop + push
-		if nd > maxd {
-			maxd = nd
-		}
-		visit := func(t int) {
-			if t >= 0 && t < len(f.Code) && depth[t] == -1 {
-				depth[t] = nd
-				work = append(work, t)
-			}
-		}
-		switch in.Op {
-		case OpJmp:
-			visit(int(in.A))
-		case OpJz, OpJnz:
-			visit(int(in.A))
-			visit(pc + 1)
-		case OpRet, OpAbort:
-		default:
-			visit(pc + 1)
-		}
+		pop, push := stackEffect(m, f.Code[pc])
+		maxd = max(maxd, d-pop+push)
 	}
 	return maxd
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"graftlab/internal/stats"
+	"graftlab/internal/telemetry"
 )
 
 // VersionSnapshot is one version's data-plane telemetry at a point in
@@ -25,46 +26,21 @@ type VersionSnapshot struct {
 	Max               time.Duration
 }
 
-// Snapshot reads the version's telemetry. Concurrent with traffic the
-// numbers are consistent-enough counters, not a linearizable cut.
-func (v *Version) Snapshot() VersionSnapshot {
-	s := VersionSnapshot{
-		Version:     v.Artifact.Version,
-		Digest:      v.Artifact.Digest,
-		State:       v.State(),
-		Invocations: v.stats.invocations.Load(),
-		Traps:       v.stats.traps.Load(),
-		Errors:      v.stats.errs.Load(),
-		Preemptions: v.stats.preempts.Load(),
-		Mean:        v.stats.latency.Mean(),
-		Std:         v.stats.latency.Std(),
-		P50:         v.stats.latency.Quantile(0.50),
-		P99:         v.stats.latency.Quantile(0.99),
-		Max:         v.stats.latency.Max(),
-	}
-	if s.Invocations > 0 {
-		s.FuelPerInvocation = float64(v.stats.fuel.Load()) / float64(s.Invocations)
-	}
-	return s
-}
+// Snapshot reads the version's lifetime telemetry. Concurrent with
+// traffic the numbers are consistent-enough counters, not a
+// linearizable cut.
+func (v *Version) Snapshot() VersionSnapshot { return v.snapshot(0) }
 
-// failureRate is the fraction of invocations that trapped or errored.
-func (s VersionSnapshot) failureRate() float64 {
-	if s.Invocations == 0 {
-		return 0
+// snapshot reads the version's telemetry over the trailing window d of
+// its accumulator's bucket ring, or over its lifetime when d is not
+// positive.
+func (v *Version) snapshot(d time.Duration) VersionSnapshot {
+	var w telemetry.WindowSnapshot
+	if d > 0 {
+		w = v.met.Window(d)
+	} else {
+		w = v.met.Lifetime()
 	}
-	return float64(s.Traps+s.Errors) / float64(s.Invocations)
-}
-
-// windowSnapshot reads the version's telemetry over the trailing window
-// d instead of its lifetime, via the versioned key's bucket ring. False
-// when the version was deployed without telemetry (no windowed plane
-// exists for it).
-func (v *Version) windowSnapshot(d time.Duration) (VersionSnapshot, bool) {
-	if v.met == nil {
-		return VersionSnapshot{}, false
-	}
-	w := v.met.Window(d)
 	s := VersionSnapshot{
 		Version:     v.Artifact.Version,
 		Digest:      v.Artifact.Digest,
@@ -82,7 +58,15 @@ func (v *Version) windowSnapshot(d time.Duration) (VersionSnapshot, bool) {
 	if s.Invocations > 0 {
 		s.FuelPerInvocation = float64(w.Fuel) / float64(s.Invocations)
 	}
-	return s, true
+	return s
+}
+
+// failureRate is the fraction of invocations that trapped or errored.
+func (s VersionSnapshot) failureRate() float64 {
+	if s.Invocations == 0 {
+		return 0
+	}
+	return float64(s.Traps+s.Errors) / float64(s.Invocations)
 }
 
 // CanaryPolicy thresholds the candidate-vs-incumbent comparison. Zero
@@ -108,8 +92,8 @@ type CanaryPolicy struct {
 	// sliding windows the watchdog burns rates over. A long-lived
 	// incumbent's ancient history then cannot dilute the comparison: the
 	// candidate is judged against what the incumbent is doing *now*.
-	// Requires both versions to have been deployed with telemetry
-	// enabled; Canary falls back to lifetime aggregates otherwise.
+	// Every version keeps its own bucket ring, so the window is honoured
+	// whether or not telemetry was enabled at deploy time.
 	Window time.Duration
 }
 
@@ -148,8 +132,8 @@ type CanaryReport struct {
 	Verdict       string
 	Reason        string
 	// Window is the trailing span the snapshots cover when the policy
-	// requested a windowed comparison and both versions supported it;
-	// zero means lifetime aggregates were compared.
+	// requested a windowed comparison; zero means lifetime aggregates
+	// were compared.
 	Window time.Duration
 }
 
@@ -166,21 +150,13 @@ func (s *Slot) Canary(p CanaryPolicy) (*CanaryReport, error) {
 		return nil, ErrNoCandidate
 	}
 	p = p.withDefaults()
-	inc := ls.incumbent.Snapshot()
-	cand := ls.candidate.Snapshot()
-	window := time.Duration(0)
-	if p.Window > 0 {
-		wi, iok := ls.incumbent.windowSnapshot(p.Window)
-		wc, cok := ls.candidate.windowSnapshot(p.Window)
-		if iok && cok {
-			inc, cand, window = wi, wc, p.Window
-		}
-	}
+	inc := ls.incumbent.snapshot(p.Window)
+	cand := ls.candidate.snapshot(p.Window)
 	r := &CanaryReport{
 		Slot:          s.name,
 		Incumbent:     inc,
 		Candidate:     cand,
-		Window:        window,
+		Window:        max(p.Window, 0),
 		TrapRateDelta: cand.failureRate() - inc.failureRate(),
 	}
 	r.LatencyD = stats.CohensDStats(

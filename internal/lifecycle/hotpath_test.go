@@ -1,7 +1,6 @@
 package lifecycle_test
 
 import (
-	"fmt"
 	"testing"
 
 	"graftlab/internal/grafts"
@@ -11,24 +10,40 @@ import (
 	"graftlab/internal/telemetry"
 )
 
-// slotDoCases are the data-plane configurations the hot-path test and
-// benchmark price: the compiled class and the AOT class, each with the
-// versioned telemetry mirror on and off.
-var slotDoCases = []struct {
+// raceEnabled is set by race_test.go in race-detector builds, where
+// sync.Pool drops returned items on purpose, so a pooled carrier builds
+// (and allocates) fresh instances no matter what the slot does.
+var raceEnabled bool
+
+// slotDoCase is one data-plane configuration the hot-path test and
+// benchmark price.
+type slotDoCase struct {
 	id        tech.ID
+	pooled    bool // PoolLoader's carrier instead of Loader's Single
 	telemetry bool
-}{
-	{tech.CompiledUnsafe, false},
-	{tech.CompiledUnsafe, true},
-	{tech.AOT, false},
-	{tech.AOT, true},
 }
 
-func slotDoName(id tech.ID, withTelemetry bool) string {
-	if withTelemetry {
-		return fmt.Sprintf("%s/telemetry", id)
+// slotDoCases are the compiled class and the AOT class on a Single
+// carrier, and the AOT class on a pooled one, each with telemetry (and
+// so the exported versioned key) on and off.
+var slotDoCases = []slotDoCase{
+	{tech.CompiledUnsafe, false, false},
+	{tech.CompiledUnsafe, false, true},
+	{tech.AOT, false, false},
+	{tech.AOT, false, true},
+	{tech.AOT, true, false},
+	{tech.AOT, true, true},
+}
+
+func (c slotDoCase) String() string {
+	name := string(c.id)
+	if c.pooled {
+		name += "/pool"
 	}
-	return fmt.Sprintf("%s/bare", id)
+	if c.telemetry {
+		return name + "/telemetry"
+	}
+	return name + "/bare"
 }
 
 // pfFramePort is the port the staged frame targets and the filter
@@ -49,17 +64,23 @@ func stagePFFrame(m *mem.Memory) error {
 	return nil
 }
 
-// pfSlot activates the packet filter under id on a Single carrier, with
-// telemetry (and so the versioned mirror) switched as asked.
-func pfSlot(tb testing.TB, id tech.ID, withTelemetry bool) *lifecycle.Slot {
+// pfSlot activates the packet filter as c asks: under c.id, on a Single
+// or a pooled carrier (every pooled instance stages the frame), with
+// telemetry switched on or off.
+func pfSlot(tb testing.TB, c slotDoCase) *lifecycle.Slot {
 	tb.Helper()
 	telemetry.ResetMetrics()
-	telemetry.SetEnabled(withTelemetry)
+	telemetry.SetEnabled(c.telemetry)
 	tb.Cleanup(func() {
 		telemetry.SetEnabled(false)
 		telemetry.ResetMetrics()
 	})
-	s := lifecycle.NewSlot("pf", id, lifecycle.Loader(id, grafts.PFMemSize, tech.Options{}))
+	load := lifecycle.Loader(c.id, grafts.PFMemSize, tech.Options{})
+	if c.pooled {
+		load = lifecycle.PoolLoader(c.id, tech.Options{},
+			tech.PoolConfig{MemSize: grafts.PFMemSize, Setup: stagePFFrame})
+	}
+	s := lifecycle.NewSlot("pf", c.id, load)
 	if err := s.Activate(tech.NewArtifact(grafts.PacketFilter, 1), stagePFFrame); err != nil {
 		tb.Fatal(err)
 	}
@@ -68,12 +89,17 @@ func pfSlot(tb testing.TB, id tech.ID, withTelemetry bool) *lifecycle.Slot {
 
 // TestSlotDoAllocFree pins the committed data-plane path at zero heap
 // allocations: routing, the carrier's acquire/release, timing and the
-// per-version record, with and without the telemetry mirror.
+// per-version record, on Single and pooled carriers, with telemetry on
+// and off.
 func TestSlotDoAllocFree(t *testing.T) {
 	args := []uint32{60}
 	for _, c := range slotDoCases {
-		name := slotDoName(c.id, c.telemetry)
-		s := pfSlot(t, c.id, c.telemetry)
+		name := c.String()
+		if c.pooled && raceEnabled {
+			t.Logf("%s: not counted under the race detector (sync.Pool drops items)", name)
+			continue
+		}
+		s := pfSlot(t, c)
 		var res lifecycle.Result
 		var err error
 		allocs := testing.AllocsPerRun(200, func() {
@@ -90,13 +116,14 @@ func TestSlotDoAllocFree(t *testing.T) {
 
 // BenchmarkSlotDo prices one committed invocation through a slot: the
 // packet filter's own cost plus the lifecycle toll (live-set load,
-// carrier acquire/release, two clock reads, revalidation, per-version
-// record and, with telemetry, the versioned key's counters).
+// carrier acquire/release, two clock reads, revalidation and the
+// version's one Commit into its accumulator; with telemetry, the
+// engine's own instrumented wrapper too).
 func BenchmarkSlotDo(b *testing.B) {
 	args := []uint32{60}
 	for _, c := range slotDoCases {
-		b.Run(slotDoName(c.id, c.telemetry), func(b *testing.B) {
-			s := pfSlot(b, c.id, c.telemetry)
+		b.Run(c.String(), func(b *testing.B) {
+			s := pfSlot(b, c)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

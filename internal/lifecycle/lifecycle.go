@@ -52,43 +52,45 @@ var (
 
 // Carrier abstracts how a deployed version executes: a single pinned
 // engine (Single) or a pool of per-worker engines (Pooled). Acquire
-// returns an engine ready for one invocation plus a release function;
-// the engine must only be used between the two, from one goroutine.
+// returns an engine ready for one invocation, which the caller hands
+// back to Release; the engine must only be used between the two, from
+// one goroutine.
 type Carrier interface {
-	Acquire() (tech.Graft, func(), error)
+	Acquire() (tech.Graft, error)
+	Release(g tech.Graft)
 }
 
 // singleCarrier serializes one engine. Grafts are single-goroutine by
 // contract, so the mutex is what makes a lone engine safe to hang off a
 // slot that concurrent workers invoke.
 type singleCarrier struct {
-	mu      sync.Mutex
-	g       tech.Graft
-	release func() // c.mu.Unlock, bound once so Acquire does not allocate
+	mu sync.Mutex
+	g  tech.Graft
 }
 
-func (c *singleCarrier) Acquire() (tech.Graft, func(), error) {
+func (c *singleCarrier) Acquire() (tech.Graft, error) {
 	c.mu.Lock()
-	return c.g, c.release, nil
+	return c.g, nil
 }
+
+func (c *singleCarrier) Release(tech.Graft) { c.mu.Unlock() }
 
 // Single wraps one loaded engine as a Carrier, serializing access.
-func Single(g tech.Graft) Carrier {
-	c := &singleCarrier{g: g}
-	c.release = c.mu.Unlock
-	return c
-}
+func Single(g tech.Graft) Carrier { return &singleCarrier{g: g} }
 
-// pooledCarrier adapts a tech.Pool.
+// pooledCarrier adapts a tech.Pool: the engine it hands out is the
+// checked-out *tech.Instance itself, so Release can put it back.
 type pooledCarrier struct{ p *tech.Pool }
 
-func (c pooledCarrier) Acquire() (tech.Graft, func(), error) {
+func (c pooledCarrier) Acquire() (tech.Graft, error) {
 	it, err := c.p.Get()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return it.Graft, func() { c.p.Put(it) }, nil
+	return it, nil
 }
+
+func (c pooledCarrier) Release(g tech.Graft) { c.p.Put(g.(*tech.Instance)) }
 
 // Pooled wraps a tech.Pool as a Carrier: each Acquire checks out a
 // private instance, so concurrent invocations never share an engine.
@@ -180,17 +182,6 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// VersionStats accumulates per-version data-plane telemetry. All atomic
-// — recorded from the data plane without locks.
-type VersionStats struct {
-	invocations atomic.Uint64
-	traps       atomic.Uint64
-	errs        atomic.Uint64
-	preempts    atomic.Uint64
-	fuel        atomic.Int64
-	latency     telemetry.Histogram
-}
-
 // Version is one deployed artifact: the immutable identity plus the
 // executable carrier and the telemetry split out per version (the
 // canary comparison needs candidate and incumbent distributions kept
@@ -199,10 +190,11 @@ type Version struct {
 	Artifact tech.Artifact
 	carrier  Carrier
 	state    atomic.Int32
-	stats    VersionStats
-	// met mirrors the per-version stats into the global telemetry
-	// registry under the versioned name ("pktfilter@v2"), when telemetry
-	// was enabled at deploy time — that is the name the watchdog flags.
+	// met is the version's own accumulator, named by the versioned name
+	// ("pktfilter@v2"). When telemetry was enabled at deploy time it is
+	// also installed in the global registry under that name — the name
+	// the watchdog flags. It is never shared: the slot's ledger sums
+	// these accumulators.
 	met *telemetry.GraftMetrics
 }
 
@@ -215,43 +207,15 @@ func (v *Version) State() State { return State(v.state.Load()) }
 // windowed numbers without importing this package.
 func (v *Version) setState(s State) {
 	v.state.Store(int32(s))
-	if v.met != nil {
-		note := s.String()
-		if s == StateCandidate {
-			note = "canary"
-		}
-		v.met.SetNote(note)
+	note := s.String()
+	if s == StateCandidate {
+		note = "canary"
 	}
+	v.met.SetNote(note)
 }
 
 // Invocations reports how many invocations committed against v.
-func (v *Version) Invocations() uint64 { return v.stats.invocations.Load() }
-
-// record commits the telemetry of one completed invocation that ended
-// at window-clock reading at (telemetry.Now). Called only after the
-// live-set revalidation in Slot.Do, so every execution is recorded at
-// most once and always against the version that served it.
-func (v *Version) record(err error, at int64, lat time.Duration, fuel int64) {
-	v.stats.invocations.Add(1)
-	v.stats.latency.Record(lat)
-	if fuel > 0 {
-		v.stats.fuel.Add(fuel)
-	}
-	if err != nil {
-		var tr *mem.Trap
-		if errors.As(err, &tr) {
-			v.stats.traps.Add(1)
-			if tr.Kind == mem.TrapFuel {
-				v.stats.preempts.Add(1)
-			}
-		} else {
-			v.stats.errs.Add(1)
-		}
-	}
-	if v.met != nil {
-		v.met.Commit(at, lat, fuel, err)
-	}
-}
+func (v *Version) Invocations() uint64 { return v.met.Invocations() }
 
 // VersionedName renders the telemetry registry name for version v of a
 // slot: "pktfilter@v2". The watchdog flags (graft, tech) pairs by this
@@ -383,12 +347,12 @@ func (s *Slot) deploy(a tech.Artifact, prep func(m *mem.Memory) error) (*Version
 		return nil, err
 	}
 	if prep != nil {
-		g, release, err := carrier.Acquire()
+		g, err := carrier.Acquire()
 		if err != nil {
 			return nil, fmt.Errorf("lifecycle: prep %s: %w", a.Ref(), err)
 		}
 		perr := prep(g.Memory())
-		release()
+		carrier.Release(g)
 		if perr != nil {
 			return nil, fmt.Errorf("lifecycle: prep %s: %w", a.Ref(), perr)
 		}
@@ -396,9 +360,10 @@ func (s *Slot) deploy(a tech.Artifact, prep func(m *mem.Memory) error) (*Version
 	if err := s.gateAt(PointDeployPrepped); err != nil {
 		return nil, err
 	}
-	v := &Version{Artifact: a, carrier: carrier}
+	v := &Version{Artifact: a, carrier: carrier,
+		met: telemetry.NewGraftMetrics(VersionedName(s.name, a.Version), string(s.tech))}
 	if telemetry.Enabled() {
-		v.met = telemetry.Register(VersionedName(s.name, a.Version), string(s.tech))
+		telemetry.Install(v.met)
 	}
 	v.setState(StateCandidate)
 	return v, nil
@@ -562,14 +527,14 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 			canary = true
 		}
 		s.gateAt(PointChosen)
-		g, release, err := v.carrier.Acquire()
+		g, err := v.carrier.Acquire()
 		if err != nil {
 			s.aborted.Add(1)
 			return res, fmt.Errorf("lifecycle: acquire %s: %w", v.Artifact.Ref(), err)
 		}
 		if prep != nil {
 			if perr := prep(g.Memory()); perr != nil {
-				release()
+				v.carrier.Release(g)
 				s.aborted.Add(1)
 				return res, fmt.Errorf("lifecycle: prep %s: %w", v.Artifact.Ref(), perr)
 			}
@@ -582,7 +547,7 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 		if fr, ok := g.(tech.FuelReporter); ok {
 			fuel = fr.FuelUsed()
 		}
-		release()
+		v.carrier.Release(g)
 		s.gateAt(PointInvoked)
 		if s.cur.Load() != ls {
 			// A control-plane commit landed while the graft ran. The
@@ -593,7 +558,9 @@ func (s *Slot) Do(entry string, prep func(m *mem.Memory) error, args ...uint32) 
 			s.retries.Add(1)
 			continue
 		}
-		v.record(ierr, end, lat, fuel)
+		// Record only after revalidation, so every execution is recorded
+		// at most once and always against the version that served it.
+		v.met.Commit(end, lat, fuel, ierr)
 		res.Value = val
 		res.Version = v.Artifact.Version
 		res.Epoch = ls.epoch
@@ -633,7 +600,7 @@ func (s *Slot) Accounting() Accounting {
 		Demotions: s.demotions.Load(),
 	}
 	for _, v := range versions {
-		a.Committed += v.stats.invocations.Load()
+		a.Committed += v.met.Invocations()
 	}
 	return a
 }

@@ -377,9 +377,10 @@ func TestVersionedTelemetryRegistration(t *testing.T) {
 	invoke(13)
 	invoke(7)
 
-	// The versioned key mirrors each version's own ledger exactly: every
-	// committed invocation, its fuel, and its trap, in both the
-	// cumulative counters and the ring's retained window.
+	// The versioned key is each version's own accumulator, so it holds
+	// the version's ledger exactly: every committed invocation, its
+	// fuel, and its trap, in both the lifetime view and the ring's
+	// retained window.
 	byName := map[string]*telemetry.GraftMetrics{}
 	for _, m := range telemetry.Metrics() {
 		if m.Tech == string(tech.Bytecode) {

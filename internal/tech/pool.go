@@ -80,6 +80,16 @@ type Instance struct {
 	close func()
 }
 
+// FuelUsed implements FuelReporter by forwarding to the engine (0 when
+// the engine has no fuel meter), so a checked-out instance reports the
+// same fuel as its engine.
+func (it *Instance) FuelUsed() int64 {
+	if fr, ok := it.Graft.(FuelReporter); ok {
+		return fr.FuelUsed()
+	}
+	return 0
+}
+
 // NewPool prepares the source under the technology once, builds one
 // instance eagerly (so a bad program fails at pool construction, not
 // first Get) and returns the pool. Like Load, the telemetry decision is

@@ -94,7 +94,9 @@ func promEscape(s string) string {
 }
 
 // writeProm writes the full exposition. Cumulative counters keep their
-// since-boot semantics (Prometheus computes its own rates from them);
+// since-boot semantics (Prometheus computes its own rates from them),
+// derived at scrape time from each key's retired aggregate plus its
+// live window buckets;
 // windowed gauges carry a window label so dashboards can tell a 10s
 // burn rate from a 5m one when both are scraped.
 func writeProm(w *strings.Builder, window time.Duration) {

@@ -42,6 +42,17 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
+// raiseMax lifts the recorded maximum to ns if ns is larger; the merge
+// paths' form of Record's loop, which stays inline so Record inlines.
+func (h *Histogram) raiseMax(ns int64) {
+	for {
+		old := h.max.Load()
+		if ns <= old || h.max.CompareAndSwap(old, ns) {
+			return
+		}
+	}
+}
+
 // Count reports how many samples were recorded.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
@@ -111,72 +122,22 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 	h.count.Add(other.count.Load())
 	h.sum.Add(other.sum.Load())
-	om := other.max.Load()
-	for {
-		old := h.max.Load()
-		if om <= old || h.max.CompareAndSwap(old, om) {
-			break
-		}
-	}
+	h.raiseMax(other.max.Load())
 }
 
-// Reset zeroes every bucket and statistic. Only safe when no writer is
-// mid-Record — the window plane calls it inside the rotation CAS, where
-// concurrent writers are parked on the resetting sentinel.
-func (h *Histogram) Reset() {
+// drainInto moves h's samples into dst, leaving h empty. Each field
+// moves with Swap(0) rather than a load and a Store(0), so a Record
+// racing the drain lands either before its field's swap (and moves) or
+// after it (and stays in h): the pair never loses a sample.
+func (h *Histogram) drainInto(dst *Histogram) {
 	for i := 0; i < numBuckets; i++ {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-}
-
-// Clone copies h bucket by bucket. Concurrent with writers the copy is
-// consistent-enough, like Merge; quiescent it is exact.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{}
-	for i := 0; i < numBuckets; i++ {
-		c.buckets[i].Store(h.buckets[i].Load())
-	}
-	c.count.Store(h.count.Load())
-	c.sum.Store(h.sum.Load())
-	c.max.Store(h.max.Load())
-	return c
-}
-
-// Sub removes older's samples from h bucket-wise, saturating at zero —
-// the inverse of Merge for deriving a window delta from two cumulative
-// snapshots (newer.Sub(older) leaves the samples recorded between the
-// two). Saturation makes the operation safe on snapshots taken racily:
-// a bucket can never go negative, it just bottoms out. The recorded
-// maximum is NOT subtractable — the largest sample of the delta window
-// is unknowable from bucket counts — so h keeps its own max, a
-// documented overestimate that Quantile's clamp still respects.
-func (h *Histogram) Sub(older *Histogram) {
-	if older == nil || older == h {
-		if older == h {
-			h.Reset()
-		}
-		return
-	}
-	sat := func(a, b uint64) uint64 {
-		if b > a {
-			return 0
-		}
-		return a - b
-	}
-	for i := 0; i < numBuckets; i++ {
-		if n := older.buckets[i].Load(); n > 0 {
-			h.buckets[i].Store(sat(h.buckets[i].Load(), n))
+		if n := h.buckets[i].Swap(0); n > 0 {
+			dst.buckets[i].Add(n)
 		}
 	}
-	h.count.Store(sat(h.count.Load(), older.count.Load()))
-	hs, os := h.sum.Load(), older.sum.Load()
-	if os > hs {
-		os = hs
-	}
-	h.sum.Store(hs - os)
+	dst.count.Add(h.count.Swap(0))
+	dst.sum.Add(h.sum.Swap(0))
+	dst.raiseMax(h.max.Swap(0))
 }
 
 // Quantile estimates the q-th quantile (q in [0,1]) by nearest rank over

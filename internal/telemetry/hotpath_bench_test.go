@@ -9,15 +9,16 @@ import (
 // claim in the package doc can be re-verified piece by piece.
 func BenchmarkHotPath(b *testing.B) {
 	m := Register("bench", "compiled-unsafe")
-	b.Run("inc", func(b *testing.B) {
+	b.Run("add", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.Inc()
+			m.AddInvocations(1)
 		}
 	})
-	b.Run("inc+sampled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := m.Inc()
-			if m.Sampled(n) {
+	b.Run("add+sampled", func(b *testing.B) {
+		mask := m.Mask()
+		for i := uint64(1); i <= uint64(b.N); i++ {
+			m.AddInvocations(1)
+			if i&mask == 0 {
 				m.RecordLatency(time.Nanosecond)
 			}
 		}
@@ -87,7 +88,7 @@ func BenchmarkObservabilityHotPath(b *testing.B) {
 		m := Register("bench-win", "compiled-unsafe")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.win.addInvocations(1)
+			m.win.bucket().invocations.Add(1)
 		}
 		ResetMetrics()
 	})

@@ -172,8 +172,8 @@ func (p *Profile) LineTable() string {
 	estNs := make(map[[2]string]float64)
 	for pair := range totals {
 		if m := lookup(pair[0], pair[1]); m != nil {
-			if m.Latency().Count() > 0 {
-				estNs[pair] = float64(m.Latency().Mean()) * float64(m.Invocations())
+			if h := m.Latency(); h.Count() > 0 {
+				estNs[pair] = float64(h.Mean()) * float64(m.Invocations())
 			}
 		}
 	}

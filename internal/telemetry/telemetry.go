@@ -1,7 +1,8 @@
 // Package telemetry is the observability layer threaded through the
 // technology classes and kernel hook points: per-graft invocation
-// counters, log-bucketed latency histograms, and one bounded trace
-// store for kernel events and causal spans. It is the repo's equivalent
+// counters and log-bucketed latency histograms kept in one ring of time
+// buckets per graft (window.go), and one bounded trace store for kernel
+// events and causal spans. It is the repo's equivalent
 // of what production extension runtimes treat as a first-class
 // subsystem — eBPF exposes per-program run counts and cumulative
 // runtime via `bpftool prog`, and Rex keeps per-extension resource
@@ -20,6 +21,9 @@
 //     under a nanosecond per call. The lifecycle slot, which times
 //     every call for its own ledger, records through Commit on its own
 //     clock reading instead: no extra clock read, one bucket lookup.
+//   - Each count is recorded once, into the current window bucket;
+//     lifetime totals are derived from the ring when read, never kept
+//     as a second set of counters.
 //   - Trap classification and fuel accounting run only on paths that
 //     are already slow (an error return, a metered engine).
 //
@@ -104,22 +108,15 @@ func SetSampleInterval(n int) error {
 // behaviour. All counters are atomic: instrumented grafts may be invoked
 // from any goroutine, and snapshot readers never lock writers out.
 type GraftMetrics struct {
-	// GraftName and Tech identify the pair; fixed at Register time.
+	// GraftName and Tech identify the pair; fixed at construction.
 	GraftName string
 	Tech      string
 
-	invocations atomic.Uint64
-	errors      atomic.Uint64 // non-trap invocation errors
-	traps       [numTrapKinds]atomic.Uint64
-	fuel        atomic.Int64 // cumulative fuel consumed (metered engines)
+	mask uint64 // latency sampling mask (interval-1)
 
-	latency Histogram
-	mask    uint64 // latency sampling mask (interval-1)
-
-	// win is the sliding-window plane (window.go): every flush point
-	// mirrors its counts into the current time bucket so windowed
-	// snapshots, burn-rate SLOs, and the /metrics surface see recent
-	// activity separately from the cumulative counters above.
+	// win holds every count the pair records (window.go): each flush
+	// lands in the current time bucket, windowed views merge recent
+	// buckets, and lifetime views add the ring's retired aggregate.
 	win *Windows
 
 	// note is a free-form state label the lifecycle layer stamps on
@@ -135,10 +132,6 @@ type GraftMetrics struct {
 	quarantined atomic.Bool
 }
 
-// Inc counts one invocation and returns the new total (the caller uses
-// it to decide whether this invocation is latency-sampled).
-func (m *GraftMetrics) Inc() uint64 { return m.invocations.Add(1) }
-
 // Mask returns the sampling mask (interval-1) captured at Register time.
 // Single-writer callers batch their invocation counting against it and
 // flush with AddInvocations — a locked add per invocation alone costs
@@ -146,73 +139,43 @@ func (m *GraftMetrics) Inc() uint64 { return m.invocations.Add(1) }
 func (m *GraftMetrics) Mask() uint64 { return m.mask }
 
 // AddInvocations flushes a batch of invocations counted locally by a
-// single-writer instrumentation path. Snapshot therefore lags a live
-// call path by up to the sampling interval; the count is exact once the
-// path reaches its next sampling point. The flush also lands the batch
-// in the current window bucket — windowed views inherit the same
-// at-most-one-interval lag.
-func (m *GraftMetrics) AddInvocations(n uint64) {
-	m.invocations.Add(n)
-	m.win.addInvocations(n)
-}
+// single-writer instrumentation path into the current window bucket.
+// Every view therefore lags a live call path by up to the sampling
+// interval; the count is exact once the path reaches its next sampling
+// point.
+func (m *GraftMetrics) AddInvocations(n uint64) { m.win.bucket().invocations.Add(n) }
 
-// Sampled reports whether the n-th invocation should be timed.
-func (m *GraftMetrics) Sampled(n uint64) bool { return n&m.mask == 0 }
-
-// RecordLatency feeds one timed invocation into the cumulative and
-// current-window histograms.
-func (m *GraftMetrics) RecordLatency(d time.Duration) {
-	m.latency.Record(d)
-	m.win.recordLatency(d)
-}
+// RecordLatency feeds one timed invocation into the current bucket's
+// histogram.
+func (m *GraftMetrics) RecordLatency(d time.Duration) { m.win.bucket().lat.Record(d) }
 
 // AddFuel accumulates fuel consumed by one invocation.
 func (m *GraftMetrics) AddFuel(n int64) {
 	if n > 0 {
-		m.fuel.Add(n)
-		m.win.addFuel(n)
+		m.win.bucket().fuel.Add(n)
 	}
 }
 
 // RecordError classifies a failed invocation: traps count per kind
-// (fuel exhaustion is the preemption counter), everything else is an
+// (fuel exhaustion is the preemption count), everything else is an
 // invocation error.
-func (m *GraftMetrics) RecordError(err error) { m.recordError(m.win.bucket(), err) }
-
-// recordError classifies err into the cumulative counters and window
-// bucket b.
-func (m *GraftMetrics) recordError(b *windowBucket, err error) {
-	var t *mem.Trap
-	if errors.As(err, &t) && int(t.Kind) < numTrapKinds {
-		m.traps[t.Kind].Add(1)
-		b.traps.Add(1)
-		if t.Kind == mem.TrapFuel {
-			b.preempts.Add(1)
-		}
-		return
-	}
-	m.errors.Add(1)
-	b.errs.Add(1)
-}
+func (m *GraftMetrics) RecordError(err error) { m.win.bucket().recordError(err) }
 
 // Commit records one invocation that every-call callers (the lifecycle
 // slot) timed themselves and that ended at window-clock reading at (see
 // Now): the count, its latency, its fuel and, for a non-nil err, its
-// trap or error class, in the cumulative counters and in at's window
-// bucket. One bucket lookup and no clock read, where the four batched
-// flush methods above would read the clock once each.
+// trap or error class, in at's window bucket. One bucket lookup and no
+// clock read, where the four batched flush methods above would read the
+// clock once each.
 func (m *GraftMetrics) Commit(at int64, lat time.Duration, fuel int64, err error) {
 	b := m.win.bucketAt(at)
-	m.invocations.Add(1)
 	b.invocations.Add(1)
-	m.latency.Record(lat)
 	b.lat.Record(lat)
 	if fuel > 0 {
-		m.fuel.Add(fuel)
 		b.fuel.Add(fuel)
 	}
 	if err != nil {
-		m.recordError(b, err)
+		b.recordError(err)
 	}
 }
 
@@ -235,25 +198,34 @@ func (m *GraftMetrics) Note() string {
 }
 
 // Invocations reports the total invocation count.
-func (m *GraftMetrics) Invocations() uint64 { return m.invocations.Load() }
-
-// TrapCount reports how many invocations trapped with kind k.
-func (m *GraftMetrics) TrapCount(k mem.TrapKind) uint64 {
-	if int(k) >= numTrapKinds {
-		return 0
-	}
-	return m.traps[k].Load()
+func (m *GraftMetrics) Invocations() uint64 {
+	var n uint64
+	m.win.lifetime(func(c *counts) { n += c.invocations.Load() })
+	return n
 }
 
 // FuelPreemptions reports how many invocations were preempted by fuel
 // exhaustion (the §4 "extension that runs too long" case).
-func (m *GraftMetrics) FuelPreemptions() uint64 { return m.traps[mem.TrapFuel].Load() }
+func (m *GraftMetrics) FuelPreemptions() uint64 {
+	var n uint64
+	m.win.lifetime(func(c *counts) { n += c.traps[mem.TrapFuel].Load() })
+	return n
+}
 
 // FuelConsumed reports cumulative fuel charged across all invocations.
-func (m *GraftMetrics) FuelConsumed() int64 { return m.fuel.Load() }
+func (m *GraftMetrics) FuelConsumed() int64 {
+	var n int64
+	m.win.lifetime(func(c *counts) { n += c.fuel.Load() })
+	return n
+}
 
-// Latency exposes the sampled-latency histogram.
-func (m *GraftMetrics) Latency() *Histogram { return &m.latency }
+// Latency returns the lifetime sampled-latency histogram, merged from
+// the ring into a fresh Histogram.
+func (m *GraftMetrics) Latency() *Histogram {
+	h := new(Histogram)
+	m.win.lifetime(func(c *counts) { h.Merge(&c.lat) })
+	return h
+}
 
 // Quarantine marks the pair as denied at dispatch (see Watchdog).
 func (m *GraftMetrics) Quarantine() { m.quarantined.Store(true) }
@@ -306,21 +278,23 @@ type GraftSnapshot struct {
 	Note            string            `json:"note,omitempty"`
 }
 
-// Snapshot copies the counters into an exportable form.
+// Snapshot copies the lifetime counts into an exportable form.
 func (m *GraftMetrics) Snapshot() GraftSnapshot {
+	var t tally
+	m.win.lifetime(t.add)
 	s := GraftSnapshot{
 		Graft:           m.GraftName,
 		Tech:            m.Tech,
-		Invocations:     m.invocations.Load(),
-		Errors:          m.errors.Load(),
-		FuelConsumed:    m.fuel.Load(),
-		FuelPreemptions: m.FuelPreemptions(),
-		LatencySamples:  m.latency.Count(),
+		Invocations:     t.invocations,
+		Errors:          t.errs,
+		FuelConsumed:    t.fuel,
+		FuelPreemptions: t.traps[mem.TrapFuel],
+		LatencySamples:  t.lat.Count(),
 		Quarantined:     m.quarantined.Load(),
 		Note:            m.Note(),
 	}
-	for k := 0; k < numTrapKinds; k++ {
-		if n := m.traps[k].Load(); n > 0 {
+	for k, n := range t.traps {
+		if n > 0 {
 			if s.Traps == nil {
 				s.Traps = make(map[string]uint64)
 			}
@@ -328,10 +302,10 @@ func (m *GraftMetrics) Snapshot() GraftSnapshot {
 		}
 	}
 	if s.LatencySamples > 0 {
-		s.LatencyP50 = m.latency.Quantile(0.50)
-		s.LatencyP95 = m.latency.Quantile(0.95)
-		s.LatencyP99 = m.latency.Quantile(0.99)
-		s.LatencyMax = m.latency.Max()
+		s.LatencyP50 = t.lat.Quantile(0.50)
+		s.LatencyP95 = t.lat.Quantile(0.95)
+		s.LatencyP99 = t.lat.Quantile(0.99)
+		s.LatencyMax = t.lat.Max()
 	}
 	return s
 }
@@ -342,23 +316,44 @@ var registry struct {
 	byKey map[string]*GraftMetrics
 }
 
+// NewGraftMetrics builds an unregistered accumulator for the (graft,
+// technology) pair under the current sampling interval and window
+// geometry. Callers that want it exported hand it to Install.
+func NewGraftMetrics(graft, tech string) *GraftMetrics {
+	return &GraftMetrics{GraftName: graft, Tech: tech, mask: sampleMask.Load(), win: newWindows()}
+}
+
 // Register returns the metrics for the (graft, technology) pair,
 // creating them on first use. Repeated loads of the same pair share one
 // accumulator, so counters survive graft reloads — the bpftool-style
 // "what has this program done since boot" view.
 func Register(graft, tech string) *GraftMetrics {
-	key := graft + "\x00" + tech
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
+	if m, ok := registry.byKey[graft+"\x00"+tech]; ok {
+		return m
+	}
+	m := NewGraftMetrics(graft, tech)
+	install(m)
+	return m
+}
+
+// Install registers m under its pair, replacing any earlier accumulator
+// of that pair. An owner whose counts must never mix with another's
+// (a lifecycle version, whose slot's ledger sums them) installs its own
+// accumulator instead of sharing one through Register.
+func Install(m *GraftMetrics) {
+	registry.mu.Lock()
+	install(m)
+	registry.mu.Unlock()
+}
+
+// install is Install with registry.mu held.
+func install(m *GraftMetrics) {
 	if registry.byKey == nil {
 		registry.byKey = make(map[string]*GraftMetrics)
 	}
-	if m, ok := registry.byKey[key]; ok {
-		return m
-	}
-	m := &GraftMetrics{GraftName: graft, Tech: tech, mask: sampleMask.Load(), win: newWindows()}
-	registry.byKey[key] = m
-	return m
+	registry.byKey[m.GraftName+"\x00"+m.Tech] = m
 }
 
 // Metrics returns every registered accumulator, sorted by graft then

@@ -40,9 +40,8 @@ func TestRegisterDedup(t *testing.T) {
 func TestGraftMetricsCounters(t *testing.T) {
 	defer ResetMetrics()
 	m := Register("pageevict", "compiled-unsafe")
-	for i := 0; i < 10; i++ {
-		m.Inc()
-	}
+	m.AddInvocations(4)
+	m.AddInvocations(6)
 	m.AddFuel(100)
 	m.AddFuel(50)
 	m.RecordError(&mem.Trap{Kind: mem.TrapFuel})
@@ -59,10 +58,10 @@ func TestGraftMetricsCounters(t *testing.T) {
 	if m.FuelPreemptions() != 1 {
 		t.Errorf("FuelPreemptions = %d, want 1", m.FuelPreemptions())
 	}
-	if m.TrapCount(mem.TrapOOBLoad) != 1 {
-		t.Errorf("TrapCount(OOBLoad) = %d, want 1", m.TrapCount(mem.TrapOOBLoad))
-	}
 	s := m.Snapshot()
+	if s.Traps[mem.TrapOOBLoad.String()] != 1 {
+		t.Errorf("Traps[%s] = %d, want 1", mem.TrapOOBLoad, s.Traps[mem.TrapOOBLoad.String()])
+	}
 	if s.Errors != 1 || s.Traps["fuel exhausted"] != 1 || s.LatencySamples != 1 {
 		t.Errorf("snapshot = %+v", s)
 	}
@@ -77,17 +76,14 @@ func TestSampleInterval(t *testing.T) {
 	defer ResetMetrics()
 	defer SetSampleInterval(defaultSampleInterval)
 	SetSampleInterval(1)
-	m := Register("all-sampled", "x")
-	for i := uint64(1); i <= 5; i++ {
-		if !m.Sampled(i) {
-			t.Fatalf("interval 1 must sample every invocation (n=%d)", i)
-		}
+	if m := Register("all-sampled", "x"); m.Mask() != 0 {
+		t.Fatalf("interval 1 must sample every invocation: mask %d, want 0", m.Mask())
 	}
 	SetSampleInterval(8)
 	m2 := Register("one-in-eight", "x")
 	n := 0
 	for i := uint64(1); i <= 64; i++ {
-		if m2.Sampled(i) {
+		if i&m2.Mask() == 0 {
 			n++
 		}
 	}
@@ -317,8 +313,8 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				n := m.Inc()
-				if m.Sampled(n) {
+				m.AddInvocations(1)
+				if uint64(i)&m.Mask() == 0 {
 					m.RecordLatency(time.Duration(i) * time.Nanosecond)
 				}
 				m.AddFuel(1)

@@ -1,39 +1,45 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
+
+	"graftlab/internal/mem"
 )
 
-// Sliding-window aggregation: the cumulative-since-start counters in
-// GraftMetrics answer "what has this graft done since boot" (the
-// bpftool view), but a serving daemon needs "what is it doing *now*" —
-// a graft that misbehaved an hour ago must look different from one
-// misbehaving this second, and an SLO check on lifetime aggregates can
-// neither catch a fresh regression promptly nor observe recovery.
-// Production eBPF deployments answer this with continuously scraped,
-// windowed per-program metrics; this file is that plane.
+// The window ring is the only place a GraftMetrics records. Each key
+// carries a ring of time-bucketed slices; a bucket holds one fixed-width
+// slice's invocations, errors, traps per kind (fuel preemptions are the
+// TrapFuel count), fuel, and a mergeable log2 latency histogram. Every
+// view is derived from the ring at read time:
 //
-// Each GraftMetrics carries a ring of time-bucketed windows. A bucket
-// holds the same signals as the cumulative accumulator — invocations,
-// errors, traps, fuel preemptions, fuel, and a mergeable log2 latency
-// histogram — for one fixed-width time slice. The ring rotates
-// implicitly: a writer derives the bucket index from the clock
-// (epoch = unixNanos / width, slot = epoch % len(ring)) and the first
-// writer to enter a recycled slot zeroes it behind a CAS on the slot's
-// published epoch. There is no rotation goroutine and no lock anywhere
-// on the path.
+//   - Window(d) merges the buckets whose slices fall in the last d — the
+//     "what is this graft doing *now*" view a serving daemon and the
+//     burn-rate watchdog need, since a graft that misbehaved an hour ago
+//     must look different from one misbehaving this second.
+//   - The lifetime views (Invocations, FuelConsumed, FuelPreemptions,
+//     Latency, Snapshot, Lifetime) merge the retired aggregate with every
+//     live bucket — the bpftool "what has this program done since boot"
+//     view, with no second set of counters to keep in step.
 //
-// Budget: the batched wrappers record windows only at their existing
+// The ring rotates implicitly: a writer derives the bucket index from
+// the clock (epoch = unixNanos / width, slot = epoch % len(ring)) and
+// the first writer to enter a recycled slot moves its old counts into
+// the retired aggregate behind a CAS on the slot's published epoch.
+// There is no rotation goroutine and no lock anywhere on the path.
+//
+// Budget: the batched wrappers record only at their existing
 // single-writer flush points (AddInvocations / RecordLatency / AddFuel
 // fire every sampling interval, RecordError only on the already-slow
-// error path), so their added cost is one clock read plus a handful of
+// error path), so their cost is one clock read plus a handful of
 // uncontended atomic adds per flush — amortized to well under a
 // nanosecond per invocation at the default 1-in-256 interval. The
 // lifecycle slot records every committed invocation through Commit,
 // which reuses the caller's end-of-invocation Now reading: one bucket
-// lookup and no extra clock read per call.
+// lookup, one histogram record and no extra clock read per call.
 // BenchmarkObservabilityHotPath/window-* prices the pieces and the A6
 // ablation row re-measures the end-to-end budget with windows enabled.
 
@@ -48,7 +54,7 @@ type WindowConfig struct {
 
 // DefaultWindowConfig retains 64 five-second buckets (320s): enough to
 // serve both burn-rate windows the watchdog defaults to (10s fast, 5m
-// slow) at ~38KB per registered key.
+// slow) at ~40KB per registered key.
 var DefaultWindowConfig = WindowConfig{Width: 5 * time.Second, Buckets: 64}
 
 // windowWidth/windowBuckets are the current registration-time config,
@@ -78,33 +84,73 @@ func SetWindowConfig(cfg WindowConfig) error {
 	return nil
 }
 
-// epochResetting marks a slot mid-zeroing; stored epochs are e+1 so the
-// zero value means "never used" and real epochs are always positive.
+// epochResetting marks a slot mid-rotation; stored epochs are e+1 so
+// the zero value means "never used" and real epochs are always positive.
 const epochResetting = -1
 
-// windowBucket is one time slice of one key's activity. All fields are
-// atomic: flush points may run concurrently from pool workers, and
-// snapshot readers never lock writers out.
-type windowBucket struct {
-	epoch       atomic.Int64 // bucket epoch + 1; 0 empty, -1 resetting
+// counts is one time slice's activity, or (as the retired aggregate)
+// every slice the ring has recycled. All fields are atomic: flush points
+// may run concurrently from pool workers, and readers never lock
+// writers out.
+type counts struct {
 	invocations atomic.Uint64
-	errs        atomic.Uint64
-	traps       atomic.Uint64
-	preempts    atomic.Uint64
+	errs        atomic.Uint64 // non-trap invocation errors
+	traps       [numTrapKinds]atomic.Uint64
 	fuel        atomic.Int64
 	lat         Histogram
 }
 
-// zero resets every counter. Runs only inside the rotation CAS window,
-// so concurrent writers are parked on the epochResetting sentinel and
-// cannot lose adds to the wipe.
-func (b *windowBucket) zero() {
-	b.invocations.Store(0)
-	b.errs.Store(0)
-	b.traps.Store(0)
-	b.preempts.Store(0)
-	b.fuel.Store(0)
-	b.lat.Reset()
+// recordError classifies a failed invocation: a trap counts under its
+// kind (fuel exhaustion is the preemption count), anything else is an
+// invocation error.
+func (c *counts) recordError(err error) {
+	var t *mem.Trap
+	if errors.As(err, &t) && int(t.Kind) < numTrapKinds {
+		c.traps[t.Kind].Add(1)
+		return
+	}
+	c.errs.Add(1)
+}
+
+// drainInto moves c's counts into dst, leaving c empty. Swap(0) rather
+// than Store(0): an add from a writer that still holds c after its slot
+// was recycled lands either before its counter's swap (and moves) or
+// after it (and stays in c, one slice late), so it is never lost.
+func (c *counts) drainInto(dst *counts) {
+	dst.invocations.Add(c.invocations.Swap(0))
+	dst.errs.Add(c.errs.Swap(0))
+	for k := range c.traps {
+		dst.traps[k].Add(c.traps[k].Swap(0))
+	}
+	dst.fuel.Add(c.fuel.Swap(0))
+	c.lat.drainInto(&dst.lat)
+}
+
+// tally is counts summed over buckets into plain integers: the form
+// every read view is built from.
+type tally struct {
+	invocations, errs uint64
+	traps             [numTrapKinds]uint64
+	fuel              int64
+	lat               Histogram
+}
+
+// add sums c into t.
+func (t *tally) add(c *counts) {
+	t.invocations += c.invocations.Load()
+	t.errs += c.errs.Load()
+	for k := range t.traps {
+		t.traps[k] += c.traps[k].Load()
+	}
+	t.fuel += c.fuel.Load()
+	t.lat.Merge(&c.lat)
+}
+
+// windowBucket is one slot of the ring: a slice's counts and the epoch
+// they belong to.
+type windowBucket struct {
+	epoch atomic.Int64 // bucket epoch + 1; 0 empty, -1 rotating
+	counts
 }
 
 // Windows is one key's bucket ring. The clock is a field so rotation
@@ -113,7 +159,11 @@ func (b *windowBucket) zero() {
 type Windows struct {
 	width int64 // bucket width, ns
 	ring  []windowBucket
-	now   func() int64 // unix ns; swapped by tests
+	// retired holds every count a rotation moved out of a recycled
+	// slot, so the ring forgets old slices without the lifetime views
+	// losing them.
+	retired counts
+	now     func() int64 // unix ns; swapped by tests
 }
 
 // windowClockBase anchors the window clock; windowClockUnix is its
@@ -146,8 +196,9 @@ func (w *Windows) Span() time.Duration {
 func (w *Windows) bucket() *windowBucket { return w.bucketAt(w.now()) }
 
 // bucketAt returns the live bucket for clock reading at (unix ns),
-// rotating (zeroing) a recycled slot on first entry. Lock-free: the
-// only loop is the rotation CAS, taken once per key per bucket width.
+// rotating a recycled slot on first entry: its old counts move into the
+// retired aggregate. Lock-free: the only loop is the rotation CAS,
+// taken once per key per bucket width.
 // A writer that observes a *newer* epoch than its own clock reading
 // (its read raced a rotation) records into the newer bucket rather
 // than resurrecting the old one — at worst one flush lands one slice
@@ -162,11 +213,11 @@ func (w *Windows) bucketAt(at int64) *windowBucket {
 			// Current (or a racing writer already rotated past us).
 			return b
 		case cur == epochResetting:
-			// Another writer is zeroing; spin until it publishes.
+			// Another writer is rotating; spin until it publishes.
 			continue
 		default: // stale or empty: rotate.
 			if b.epoch.CompareAndSwap(cur, epochResetting) {
-				b.zero()
+				b.drainInto(&w.retired)
 				b.epoch.Store(e + 1)
 				return b
 			}
@@ -174,11 +225,26 @@ func (w *Windows) bucketAt(at int64) *windowBucket {
 	}
 }
 
-func (w *Windows) addInvocations(n uint64) { w.bucket().invocations.Add(n) }
+// walk calls fn on every ring bucket whose slice lies in epochs
+// [lo, hi]: the one merge walk behind every view. A bucket mid-rotation
+// (or recycled past the range) is skipped.
+func (w *Windows) walk(lo, hi int64, fn func(*counts)) {
+	for i := range w.ring {
+		b := &w.ring[i]
+		if e := b.epoch.Load() - 1; lo <= e && e <= hi {
+			fn(&b.counts)
+		}
+	}
+}
 
-func (w *Windows) recordLatency(d time.Duration) { w.bucket().lat.Record(d) }
-
-func (w *Windows) addFuel(n int64) { w.bucket().fuel.Add(n) }
+// lifetime calls fn on the retired aggregate and on every live bucket.
+// A count sits in exactly one of them, so a quiescent ring reads every
+// count ever recorded exactly once, across any number of rotations;
+// concurrent with a rotation the sum is consistent-enough, like Merge.
+func (w *Windows) lifetime(fn func(*counts)) {
+	fn(&w.retired)
+	w.walk(0, math.MaxInt64, fn)
+}
 
 // WindowSnapshot aggregates one key's activity over the last Window of
 // time: absolute counts plus the derived rates the SLO plane and the
@@ -215,6 +281,30 @@ type WindowSnapshot struct {
 	Note        string `json:"note,omitempty"`
 }
 
+// summarize fills s's counts, ratios and latency statistics from t.
+func summarize(s *WindowSnapshot, t *tally) {
+	s.Invocations = t.invocations
+	s.Errors = t.errs
+	for _, n := range t.traps {
+		s.Traps += n
+	}
+	s.Preempts = t.traps[mem.TrapFuel]
+	s.Fuel = t.fuel
+	if s.Invocations > 0 {
+		s.TrapRatio = float64(s.Traps+s.Errors) / float64(s.Invocations)
+		s.PreemptRate = float64(s.Preempts) / float64(s.Invocations)
+	}
+	s.LatencySamples = t.lat.Count()
+	if s.LatencySamples > 0 {
+		s.Mean = t.lat.Mean()
+		s.Std = t.lat.Std()
+		s.P50 = t.lat.Quantile(0.50)
+		s.P95 = t.lat.Quantile(0.95)
+		s.P99 = t.lat.Quantile(0.99)
+		s.Max = t.lat.Max()
+	}
+}
+
 // snapshot merges the buckets covering the last d of time. The current
 // partial bucket is included (freshness beats completeness for a live
 // view); buckets whose epoch fell out of the requested range — or were
@@ -235,22 +325,9 @@ func (w *Windows) snapshot(d time.Duration) WindowSnapshot {
 	if n < 1 {
 		n = 1
 	}
-	var lat Histogram
-	for e := cur - n + 1; e <= cur; e++ {
-		if e < 0 {
-			continue
-		}
-		b := &w.ring[int(e%int64(len(w.ring)))]
-		if b.epoch.Load() != e+1 {
-			continue // empty, recycled, or mid-reset: nothing from this slice
-		}
-		s.Invocations += b.invocations.Load()
-		s.Errors += b.errs.Load()
-		s.Traps += b.traps.Load()
-		s.Preempts += b.preempts.Load()
-		s.Fuel += b.fuel.Load()
-		lat.Merge(&b.lat)
-	}
+	var t tally
+	w.walk(cur-n+1, cur, t.add)
+	summarize(&s, &t)
 	// Covered time: n-1 complete slices plus the elapsed part of the
 	// current one. now%width == 0 right at a boundary; the max(…, 1ns)
 	// floor keeps a single-bucket snapshot from dividing by zero.
@@ -262,19 +339,6 @@ func (w *Windows) snapshot(d time.Duration) WindowSnapshot {
 	secs := float64(covered) / float64(time.Second)
 	s.Rate = float64(s.Invocations) / secs
 	s.FuelPerSec = float64(s.Fuel) / secs
-	if s.Invocations > 0 {
-		s.TrapRatio = float64(s.Traps+s.Errors) / float64(s.Invocations)
-		s.PreemptRate = float64(s.Preempts) / float64(s.Invocations)
-	}
-	s.LatencySamples = lat.Count()
-	if s.LatencySamples > 0 {
-		s.Mean = lat.Mean()
-		s.Std = lat.Std()
-		s.P50 = lat.Quantile(0.50)
-		s.P95 = lat.Quantile(0.95)
-		s.P99 = lat.Quantile(0.99)
-		s.Max = lat.Max()
-	}
 	return s
 }
 
@@ -284,11 +348,29 @@ func (w *Windows) snapshot(d time.Duration) WindowSnapshot {
 // the same contract as Snapshot.
 func (m *GraftMetrics) Window(d time.Duration) WindowSnapshot {
 	s := m.win.snapshot(d)
+	m.label(&s)
+	return s
+}
+
+// Lifetime aggregates everything the key has recorded, in the window
+// snapshot's shape: the retired aggregate plus every live bucket. It
+// covers no fixed span, so Window, Covered and the per-second rates
+// stay zero.
+func (m *GraftMetrics) Lifetime() WindowSnapshot {
+	var t tally
+	m.win.lifetime(t.add)
+	var s WindowSnapshot
+	summarize(&s, &t)
+	m.label(&s)
+	return s
+}
+
+// label stamps the key's identity and state on s.
+func (m *GraftMetrics) label(s *WindowSnapshot) {
 	s.Graft = m.GraftName
 	s.Tech = m.Tech
 	s.Quarantined = m.quarantined.Load()
 	s.Note = m.Note()
-	return s
 }
 
 // WindowSpan reports how much history this key's ring retains.
@@ -302,7 +384,7 @@ func WindowAll(d time.Duration) []WindowSnapshot {
 	ms := Metrics()
 	out := make([]WindowSnapshot, 0, len(ms))
 	for _, m := range ms {
-		if m.Invocations() == 0 && m.win.snapshot(d).Invocations == 0 {
+		if m.Invocations() == 0 {
 			continue
 		}
 		out = append(out, m.Window(d))

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"graftlab/internal/mem"
 )
 
 func newTestWindows(width time.Duration, buckets int, clk *fakeClock) *Windows {
@@ -82,9 +84,9 @@ func TestWindowEmptyAndIdleBuckets(t *testing.T) {
 	}
 
 	// Activity, then idle gaps: only the active slices contribute.
-	w.addInvocations(10)
+	w.bucket().invocations.Add(10)
 	clk.advance(3 * time.Second) // two empty slices between activity and now
-	w.addInvocations(5)
+	w.bucket().invocations.Add(5)
 	s = w.snapshot(5 * time.Second)
 	if s.Invocations != 15 {
 		t.Fatalf("snapshot across idle gaps = %d invocations, want 15", s.Invocations)
@@ -103,7 +105,7 @@ func TestWindowRotationRecyclesSlots(t *testing.T) {
 	// slice, and a snapshot of the full span must only see the ring's
 	// retained history.
 	for i := 0; i < 6; i++ {
-		w.addInvocations(1)
+		w.bucket().invocations.Add(1)
 		clk.advance(time.Second)
 	}
 	// 6 slices written into 4 slots: slices 0 and 1 were recycled. The
@@ -123,11 +125,11 @@ func TestWindowSnapshotSpanningRotation(t *testing.T) {
 	clk := newFakeClock(time.Hour)
 	w := newTestWindows(time.Second, 8, clk)
 
-	w.addInvocations(7)
-	w.recordLatency(100 * time.Microsecond)
+	w.bucket().invocations.Add(7)
+	w.bucket().lat.Record(100 * time.Microsecond)
 	clk.advance(1500 * time.Millisecond) // crosses one bucket boundary
-	w.addInvocations(3)
-	w.recordLatency(200 * time.Microsecond)
+	w.bucket().invocations.Add(3)
+	w.bucket().lat.Record(200 * time.Microsecond)
 
 	// A 2s window spans the rotation: both slices contribute, and
 	// Covered reflects one complete slice plus the current partial one.
@@ -152,8 +154,8 @@ func TestWindowClockStall(t *testing.T) {
 	// so the partial-bucket term contributes nothing.
 	clk := newFakeClock(time.Hour)
 	w := newTestWindows(time.Second, 8, clk)
-	w.addInvocations(100)
-	w.addFuel(1000)
+	w.bucket().invocations.Add(100)
+	w.bucket().fuel.Add(1000)
 
 	for _, d := range []time.Duration{time.Second, 500 * time.Millisecond} {
 		s := w.snapshot(d)
@@ -171,7 +173,7 @@ func TestWindowClockStall(t *testing.T) {
 
 // TestWindowConcurrentRecordDuringRotation hammers the rotation CAS:
 // writers race across bucket boundaries while the clock advances, and
-// no increment may be lost to a concurrent zero() — the full-span
+// no increment may be lost to a concurrent rotation — the full-span
 // snapshot at the end must conserve the total.
 func TestWindowConcurrentRecordDuringRotation(t *testing.T) {
 	clk := newFakeClock(time.Hour)
@@ -185,7 +187,7 @@ func TestWindowConcurrentRecordDuringRotation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				w.addInvocations(1)
+				w.bucket().invocations.Add(1)
 				if i%64 == 0 {
 					// Push the clock forward so rotations happen while
 					// other writers are mid-record.
@@ -222,6 +224,122 @@ func TestWindowConcurrentRecordDuringRotation(t *testing.T) {
 	}
 }
 
+// TestLifetimeConcurrentRotationsExact pins the derived lifetime view:
+// eight writers mix Commit, AddInvocations and RecordError over several
+// trap kinds while the clock turns a 1ms × 2-bucket ring over about a
+// thousand times, and a reader snapshots throughout. Once the writers
+// are done, every lifetime total — invocations, errors, traps per kind,
+// fuel, latency samples — must be exact: each count sits either in a
+// live bucket or in the retired aggregate, never in both or neither.
+func TestLifetimeConcurrentRotationsExact(t *testing.T) {
+	ResetMetrics()
+	t.Cleanup(ResetMetrics)
+	clk := newFakeClock(time.Hour)
+	m := registerWindowed(t, "lifetime", "bytecode", WindowConfig{Width: time.Millisecond, Buckets: 2}, clk)
+
+	type tally struct {
+		invocations, errs, samples uint64
+		traps                      map[string]uint64
+		fuel                       int64
+	}
+	kinds := []mem.TrapKind{mem.TrapOOBLoad, mem.TrapDivZero, mem.TrapFuel, mem.TrapStackOverflow}
+	const writers, per = 8, 4000
+	tallies := make([]tally, writers)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(want *tally, g int) {
+			defer wg.Done()
+			want.traps = map[string]uint64{}
+			for i := 0; i < per; i++ {
+				k := kinds[(g+i)%len(kinds)]
+				switch i % 4 {
+				case 0:
+					m.Commit(clk.now(), time.Duration(i)*time.Nanosecond, int64(i%7), nil)
+					want.invocations++
+					want.samples++
+					want.fuel += int64(i % 7)
+				case 1:
+					m.Commit(clk.now(), time.Microsecond, 2, &mem.Trap{Kind: k})
+					want.invocations++
+					want.samples++
+					want.fuel += 2
+					want.traps[k.String()]++
+				case 2:
+					m.AddInvocations(3)
+					want.invocations += 3
+				case 3:
+					if i%8 == 3 {
+						m.RecordError(errors.New("plain failure"))
+						want.errs++
+					} else {
+						m.RecordError(&mem.Trap{Kind: k})
+						want.traps[k.String()]++
+					}
+				}
+				if i%16 == 0 {
+					clk.advance(time.Millisecond / 2)
+				}
+			}
+		}(&tallies[g], g)
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = m.Snapshot()
+				_ = m.Window(time.Millisecond)
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-done
+
+	var want tally
+	want.traps = map[string]uint64{}
+	for _, w := range tallies {
+		want.invocations += w.invocations
+		want.errs += w.errs
+		want.samples += w.samples
+		want.fuel += w.fuel
+		for k, n := range w.traps {
+			want.traps[k] += n
+		}
+	}
+	if m.win.retired.invocations.Load() == 0 {
+		t.Fatal("no rotation retired any counts (test geometry broken)")
+	}
+	s := m.Snapshot()
+	if s.Invocations != want.invocations || s.Errors != want.errs || s.FuelConsumed != want.fuel || s.LatencySamples != want.samples {
+		t.Errorf("lifetime snapshot = %d invocations, %d errors, %d fuel, %d samples; want %d, %d, %d, %d",
+			s.Invocations, s.Errors, s.FuelConsumed, s.LatencySamples,
+			want.invocations, want.errs, want.fuel, want.samples)
+	}
+	for _, k := range kinds {
+		if s.Traps[k.String()] != want.traps[k.String()] {
+			t.Errorf("lifetime traps[%s] = %d, want %d", k, s.Traps[k.String()], want.traps[k.String()])
+		}
+	}
+	if got := m.Invocations(); got != want.invocations {
+		t.Errorf("Invocations = %d, want %d", got, want.invocations)
+	}
+	if got := m.FuelPreemptions(); got != want.traps[mem.TrapFuel.String()] {
+		t.Errorf("FuelPreemptions = %d, want %d", got, want.traps[mem.TrapFuel.String()])
+	}
+	if got := m.Latency().Count(); got != want.samples {
+		t.Errorf("Latency().Count = %d, want %d", got, want.samples)
+	}
+	if l := m.Lifetime(); l.Invocations != want.invocations || l.Errors != want.errs || l.Fuel != want.fuel {
+		t.Errorf("Lifetime = %+v", l)
+	}
+}
+
 // TestWindowWriterBehindRotation pins the stale-writer rule: a writer
 // whose clock reading lost a race with a newer rotation records into
 // the newer bucket instead of resurrecting the old epoch.
@@ -229,11 +347,11 @@ func TestWindowWriterBehindRotation(t *testing.T) {
 	clk := newFakeClock(time.Hour)
 	w := newTestWindows(time.Second, 4, clk)
 
-	w.addInvocations(1) // slice 0
+	w.bucket().invocations.Add(1) // slice 0
 	// Simulate a racing rotation: another writer at slice 4 recycles
 	// slot 0 (4 % 4 == 0).
 	clk.advance(4 * time.Second)
-	w.addInvocations(1) // slice 4, same slot, rotates it
+	w.bucket().invocations.Add(1) // slice 4, same slot, rotates it
 
 	// A stale writer with a slice-0 clock reading must not clobber the
 	// slot's newer epoch.

@@ -64,7 +64,7 @@ func hasTarget(op xop) bool {
 // rest on the basic-block structure: no superinstruction crosses a block
 // boundary, so every leader starts a translated instruction, and the
 // block's instruction count is charged on its first translated instruction.
-func translate(mod *bytecode.Module, f *bytecode.Func, cfg mem.Config, oc OptConfig) (xfunc, error) {
+func translate(mod *bytecode.Module, f *bytecode.Func, depth []int, cfg mem.Config, oc OptConfig) (xfunc, error) {
 	leaders := bytecode.Leaders(f)
 	costs := bytecode.BlockCosts(f, leaders)
 	code := f.Code
@@ -132,7 +132,7 @@ func translate(mod *bytecode.Module, f *bytecode.Func, cfg mem.Config, oc OptCon
 		name:     f.Name,
 		nargs:    f.NArgs,
 		nlocals:  f.NLocals,
-		maxStack: bytecode.MaxStack(mod, f),
+		maxStack: bytecode.MaxStack(mod, f, depth),
 		code:     xcode,
 		lines:    f.Lines,
 	}, nil

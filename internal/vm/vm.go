@@ -92,13 +92,14 @@ func (v *VM) SetProfile(s *telemetry.ProfScope, every int64) {
 
 // New verifies mod and prepares a VM over m with the given policy.
 func New(mod *bytecode.Module, m *mem.Memory, cfg mem.Config) (*VM, error) {
-	if err := bytecode.Verify(mod); err != nil {
+	depths, err := bytecode.VerifyDepths(mod)
+	if err != nil {
 		return nil, err
 	}
 	v := &VM{mod: mod, mem: m, cfg: cfg}
 	v.maxStack = make([]int, len(mod.Funcs))
 	for i, f := range mod.Funcs {
-		v.maxStack[i] = bytecode.MaxStack(mod, f)
+		v.maxStack[i] = bytecode.MaxStack(mod, f, depths[i])
 	}
 	return v, nil
 }
